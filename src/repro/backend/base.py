@@ -27,9 +27,10 @@ Two orthogonal knobs travel together through the stack:
 
 The **dtype-preservation contract** every backend honours: single-width
 input (``complex64``/``float32``) transforms to ``complex64`` output;
-everything else to ``complex128``.  ``np.fft`` alone silently upcasts
-``complex64`` to ``complex128``, which defeated the memory model before
-this subsystem existed.
+everything else to ``complex128``.  ``np.fft`` itself does this since
+numpy 2.0 (the floor this package states; older releases upcast every
+transform to ``complex128``, which defeats the memory model), so the
+contract costs the ``numpy`` backend nothing.
 
 Ambient defaults resolve in order: explicit argument → a process-wide
 default *explicitly set* in code (:func:`set_default_backend` /

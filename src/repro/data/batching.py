@@ -2,7 +2,7 @@
 
 A :class:`BatchPlanner` splits each rank-tile's probe list into
 fixed-size batches that the numeric engine runs through the multislice
-model *as one stack* — one ``fft2c`` over a ``(B, window, window)``
+model *as one stack* — one transform over a ``(B, window, window)``
 batch instead of ``B`` separate transforms.  The FFT backends are
 measurably faster on batched stacks (see ``BENCH_backends.json``), so
 this is the hot-path win; the plan itself is pure bookkeeping.

@@ -34,13 +34,18 @@ __all__ = ["SummitCostModel", "multislice_flops"]
 
 
 def multislice_flops(detector_px: int, n_slices: int) -> float:
-    """Analytic flop count of one cost+gradient evaluation.
+    """Analytic flop count of one multislice cost+gradient evaluation
+    (the single formula; ``MultisliceModel.flops_per_probe`` delegates
+    here).
 
-    Mirrors :meth:`repro.physics.multislice.MultisliceModel.flops_per_probe`
-    without instantiating the model (no arrays needed at 1024^2 x 100).
+    Dominated by FFTs: the forward sweep runs ``2(S-1)`` propagation
+    transforms plus the far-field one and the adjoint mirrors it —
+    ``4S - 2`` in all, each ``5 * n^2 * log2(n^2)`` flops — plus
+    ``O(S n^2)`` pointwise work.  This is the ``N log N`` growth the
+    paper credits for the super-linear strong scaling (Sec. VI-C).
     """
     n2 = float(detector_px * detector_px)
-    ffts = 2 * (2 * (n_slices - 1) + 1) + 2
+    ffts = 4 * n_slices - 2
     fft_flops = 5.0 * n2 * math.log2(max(n2, 2.0))
     pointwise = 12.0 * n_slices * n2
     return ffts * fft_flops + pointwise

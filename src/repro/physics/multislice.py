@@ -36,16 +36,36 @@ incoherent sum over modes, ``A = sqrt(sum_m |Psi_m|^2)``, the standard
 partially-coherent treatment.  The per-mode detector adjoint seed is
 ``(A - y) * Psi_m / A`` (structurally the scalar formula at M=1), the
 object gradient sums the per-mode contributions, and probe gradients
-stay per-mode.  Dispatch is explicit: a 2-D probe — or a single-mode
-stack — runs the original scalar code verbatim, because
-``sqrt(|x|^2)`` is *not* bitwise ``np.abs(x)`` (hypot), and the
-``probe_modes=1`` path must stay bit-identical to the scalar one.
+stay per-mode.
+
+One kernel, in the FFT-native layout
+------------------------------------
+There is one forward and one adjoint sweep, over an ``(M, B, w, w)``
+stack (``M`` probe modes x ``B`` probe locations; a scalar evaluation is
+the ``M = B = 1`` view).  Callers pass and receive *centred* arrays;
+inside, everything is *FFT-native*, ``x~ = ifftshift(x)``: probe, patch
+stack and measured amplitudes are permuted once on entry, each slice is
+``psi~ <- ifft2(H~ * fft2(psi~ * O~_s))`` with the propagator's
+pre-permuted ``H~``, residual and adjoint seed are formed in the same
+layout, and the gradient stack is permuted back once on exit.  That is
+*bitwise* the recursion above written with ``fft2c``/``ifft2c`` — for
+every window, even or odd (see :mod:`repro.utils.fftutils`) — without
+the shift pair around each of its ``4S - 2`` transforms.  Two steps see
+more than elementwise values:
+
+* **The cost is summed in centred order.**  ``np.sum`` adds pairwise, so
+  its rounding depends on element order: the squared residual is
+  permuted back first, or cost histories would change in their last bits.
+* **M = 1 is the only dispatch.**  ``np.abs`` (hypot) is not bitwise
+  ``sqrt(re^2 + im^2)`` and a one-term ``np.sum`` turns ``-0.0`` into
+  ``+0.0``, so a 2-D probe or single-mode stack takes ``np.abs`` and
+  skips the mode sum: ``probe_modes=1`` is bitwise the scalar formulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,8 +75,9 @@ from repro.backend.base import (
     resolve_backend,
     resolve_precision,
 )
+from repro.physics.probe import as_mode_stack
 from repro.physics.propagation import FresnelPropagator
-from repro.utils.fftutils import fft2c, ifft2c
+from repro.utils.fftutils import fft2u, ifft2u, to_centred, to_native
 
 __all__ = [
     "MultisliceModel",
@@ -103,11 +124,11 @@ class BatchGradientResult:
     locations through the multislice sweep as one stack).
 
     Per-item values are bit-identical to ``B`` separate
-    :meth:`MultisliceModel.cost_and_gradient` calls — pocketfft applies
-    the same 2-D kernels along a batch axis, and every other step is
-    elementwise — which is what lets batched execution stay
-    fingerprint-identical to the per-position reference (pinned by the
-    parity suite in ``tests/data``).
+    :meth:`MultisliceModel.cost_and_gradient` calls — the same kernel at
+    ``B = 1``: pocketfft applies the same 2-D kernels along a batch
+    axis, and every other step is elementwise — which is what lets
+    batched execution stay fingerprint-identical to the per-position
+    reference (pinned by the parity suite in ``tests/data``).
 
     Attributes
     ----------
@@ -185,42 +206,95 @@ class MultisliceModel:
         """The inter-slice Fresnel propagator."""
         return self._prop
 
-    # ------------------------------------------------------------------
-    # Mixed-state dispatch
-    # ------------------------------------------------------------------
-    def _probe_modes(self, probe: np.ndarray) -> Optional[np.ndarray]:
-        """The ``(M, w, w)`` stack when ``probe`` is genuinely
-        mixed-state, ``None`` when the scalar path must run.
-
-        A 2-D probe and a single-mode ``(1, w, w)`` stack both dispatch
-        scalar (``None``): the M=1 arithmetic must be *bitwise* the
-        historical path, and the stacked formulation computes
-        ``sqrt(|x|^2)`` where the scalar one computes ``np.abs`` — same
-        value, different bits.
-        """
-        arr = np.asarray(probe)
-        if arr.ndim == 3 and arr.shape[0] > 1:
-            if arr.shape[1:] != (self.window, self.window):
-                raise ValueError(
-                    f"probe stack shape {arr.shape} != "
-                    f"(M, {self.window}, {self.window})"
-                )
-            return arr
-        if arr.ndim not in (2, 3):
+    # -- the kernel: (M, B, w, w) stacks in the FFT-native layout --------
+    def _far_field(
+        self, probe: np.ndarray, patches: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """Forward sweep of a centred ``(B, S, w, w)`` patch stack under
+        a centred probe.  Returns, all native: the ``(M, B, w, w)`` far
+        field, the patch stack, and the wave incident on each slice
+        (references to the sweep's own arrays, not copies)."""
+        cdtype = self.precision.complex_dtype
+        modes = as_mode_stack(np.asarray(probe, dtype=cdtype))
+        stack = (self.n_slices, self.window, self.window)
+        if modes.shape[1:] != stack[1:]:
             raise ValueError(
-                f"probe must be (w, w) or (M, w, w), got shape {arr.shape}"
+                f"probe shape {modes.shape} != (M,) + {stack[1:]}"
             )
-        return None
+        if np.ndim(patches) != 4 or patches.shape[1:] != stack:
+            raise ValueError(
+                f"object patches shape {np.shape(patches)} != (B,) + {stack}"
+            )
+        psi = to_native(modes)[:, None]  # (M, 1, w, w): broadcasts over B
+        # The permutation doubles as the contiguous copy the sweep wants.
+        obj = to_native(np.asarray(patches, dtype=cdtype))
+        incident = []
+        for s in range(self.n_slices):
+            incident.append(psi)
+            psi = psi * obj[:, s]
+            if s < self.n_slices - 1:
+                psi = self._prop.forward_native(psi)
+        return fft2u(psi, self.backend), obj, incident
 
     @staticmethod
-    def _scalar_probe(probe: np.ndarray) -> np.ndarray:
-        """The 2-D probe of a scalar dispatch (unwraps a (1, w, w) stack)."""
-        arr = np.asarray(probe)
-        return arr[0] if arr.ndim == 3 else arr
+    def _amplitude(far_field: np.ndarray) -> np.ndarray:
+        """``(B, w, w)`` detector amplitude of an ``(M, B, w, w)`` far
+        field: ``np.abs`` at one mode, the incoherent sum otherwise."""
+        if far_field.shape[0] == 1:
+            return np.abs(far_field[0])
+        re, im = far_field.real, far_field.imag
+        return np.sqrt(np.sum(re * re + im * im, axis=0))
 
-    # ------------------------------------------------------------------
-    # Forward
-    # ------------------------------------------------------------------
+    def _data_fit(
+        self, amplitude: np.ndarray, measured: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The native residual ``|Psi| - |y|`` against centred measured
+        amplitudes, and the ``(B,)`` costs: accumulated in float64
+        whatever the policy, over the residual in *centred* order."""
+        if np.shape(measured) != amplitude.shape:
+            raise ValueError(
+                f"measurement shape {np.shape(measured)} != {amplitude.shape}"
+            )
+        residual = amplitude - to_native(
+            np.asarray(measured, dtype=self.precision.real_dtype)
+        )
+        costs = np.sum(
+            to_centred(residual * residual), axis=(-2, -1), dtype=np.float64
+        )
+        return residual, costs
+
+    def _evaluate(
+        self, probe, patches, measured, keep_amplitude, compute_probe_grad
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Forward + adjoint sweep of ``B`` locations, centred out:
+        object gradients ``(B, S, w, w)``, costs ``(B,)`` and, on
+        request, the amplitude ``(B, w, w)`` and the probe gradients
+        ``(M, B, w, w)``."""
+        far_field, obj, incident = self._far_field(probe, patches)
+        amplitude = self._amplitude(far_field)
+        residual, costs = self._data_fit(amplitude, measured)
+
+        # Detector-plane adjoint seed d f / d conj(Psi_m).
+        phase = far_field / (amplitude + _AMPLITUDE_EPS)
+        chi = ifft2u(residual * phase, self.backend)
+        single = far_field.shape[0] == 1
+        grads = np.empty_like(obj)
+        for s in range(self.n_slices - 1, -1, -1):
+            if single:
+                np.multiply(np.conj(incident[s][0]), chi[0], out=grads[:, s])
+            else:
+                # The object is shared: mode contributions add.
+                grads[:, s] = np.sum(np.conj(incident[s]) * chi, axis=0)
+            if s > 0:
+                chi = self._prop.adjoint_native(np.conj(obj[:, s]) * chi)
+        probe_grads = None
+        if compute_probe_grad:
+            # d f / d conj(p): one more chain step through slice 0.
+            probe_grads = to_centred(np.conj(obj[:, 0]) * chi)
+        exit_amplitude = to_centred(amplitude) if keep_amplitude else None
+        return to_centred(grads), costs, exit_amplitude, probe_grads
+
+    # -- public entry points: centred in, centred out --------------------
     def forward(
         self, probe: np.ndarray, object_patch: np.ndarray
     ) -> np.ndarray:
@@ -235,20 +309,9 @@ class MultisliceModel:
         object_patch:
             ``(n_slices, window, window)`` complex transmission patch.
         """
-        self._check_patch(object_patch)
-        cdtype = self.precision.complex_dtype
-        modes = self._probe_modes(probe)
-        psi = np.asarray(
-            probe if modes is None else modes, dtype=cdtype
-        )
-        object_patch = np.asarray(object_patch, dtype=cdtype)
-        for s in range(self.n_slices):
-            phi = psi * object_patch[s]
-            if s < self.n_slices - 1:
-                psi = self._prop.forward(phi)
-            else:
-                psi = phi
-        return fft2c(psi, self.backend)
+        far_field = self._far_field(probe, object_patch[None])[0]
+        far_field = to_centred(far_field[:, 0])
+        return far_field if np.ndim(probe) == 3 else far_field[0]
 
     def forward_amplitude(
         self, probe: np.ndarray, object_patch: np.ndarray
@@ -258,22 +321,22 @@ class MultisliceModel:
         For a mode stack this is the incoherent detector amplitude
         ``sqrt(sum_m |Psi_m|^2)`` (shape ``(window, window)``).
         """
-        far_field = self.forward(probe, object_patch)
-        if far_field.ndim == 3:
-            if far_field.shape[0] == 1:
-                return np.abs(far_field[0])
-            return np.sqrt(
-                np.sum(
-                    far_field.real * far_field.real
-                    + far_field.imag * far_field.imag,
-                    axis=0,
-                )
-            )
-        return np.abs(far_field)
+        far_field = self._far_field(probe, object_patch[None])[0]
+        return to_centred(self._amplitude(far_field)[0])
 
-    # ------------------------------------------------------------------
-    # Cost + gradient (adjoint)
-    # ------------------------------------------------------------------
+    def cost_only(
+        self,
+        probe: np.ndarray,
+        object_patch: np.ndarray,
+        measured_amplitude: np.ndarray,
+    ) -> float:
+        """Just the data-fit value ``f_i`` (used for convergence curves):
+        bitwise the ``cost`` of :meth:`cost_and_gradient`."""
+        far_field = self._far_field(probe, object_patch[None])[0]
+        amplitude = self._amplitude(far_field)
+        _, costs = self._data_fit(amplitude, measured_amplitude[None])
+        return float(costs[0])
+
     def cost_and_gradient(
         self,
         probe: np.ndarray,
@@ -289,143 +352,22 @@ class MultisliceModel:
         (O(S) memory in patches), the standard checkpoint-free adjoint.
 
         A mixed-state ``(M, window, window)`` probe runs the incoherent
-        formulation (per-mode ``probe_grad``); a single-mode stack
-        delegates to this scalar path bit-for-bit.
+        formulation (per-mode ``probe_grad``); a single-mode stack is
+        bit-for-bit the scalar evaluation.
         """
-        self._check_patch(object_patch)
-        if measured_amplitude.shape != (self.window, self.window):
-            raise ValueError(
-                f"measurement shape {measured_amplitude.shape} != "
-                f"({self.window}, {self.window})"
-            )
-        modes = self._probe_modes(probe)
-        if modes is not None:
-            return self._cost_and_gradient_modes(
-                modes,
-                object_patch,
-                measured_amplitude,
-                keep_exit_wave,
-                compute_probe_grad,
-            )
-        if np.asarray(probe).ndim == 3:
-            # Single-mode stack: scalar arithmetic, stack-shaped output.
-            result = self.cost_and_gradient(
-                self._scalar_probe(probe),
-                object_patch,
-                measured_amplitude,
-                keep_exit_wave,
-                compute_probe_grad,
-            )
-            if result.probe_grad is not None:
-                result.probe_grad = result.probe_grad.reshape(
-                    (1,) + result.probe_grad.shape
-                )
-            return result
-
-        cdtype = self.precision.complex_dtype
-        measured = np.asarray(
-            measured_amplitude, dtype=self.precision.real_dtype
+        grads, costs, amplitude, probe_grads = self._evaluate(
+            probe, object_patch[None], measured_amplitude[None],
+            keep_exit_wave, compute_probe_grad,
         )
-        object_patch = np.asarray(object_patch, dtype=cdtype)
-
-        # Forward sweep, remembering every incident wave psi_s.
-        incident = np.empty(
-            (self.n_slices, self.window, self.window), dtype=cdtype
-        )
-        psi = np.asarray(probe, dtype=cdtype)
-        for s in range(self.n_slices):
-            incident[s] = psi
-            phi = psi * object_patch[s]
-            psi = self._prop.forward(phi) if s < self.n_slices - 1 else phi
-        far_field = fft2c(psi, self.backend)
-        amplitude = np.abs(far_field)
-
-        residual = amplitude - measured
-        # Accumulate the scalar in float64 regardless of policy (a no-op
-        # on the double path; a stability guard on the single path).
-        cost = float(np.sum(residual * residual, dtype=np.float64))
-
-        # Detector-plane adjoint seed: d f / d conj(Psi).
-        phase = far_field / (amplitude + _AMPLITUDE_EPS)
-        chi = ifft2c(residual * phase, self.backend)
-
-        grad = np.empty_like(incident)
-        for s in range(self.n_slices - 1, -1, -1):
-            grad[s] = np.conj(incident[s]) * chi
-            if s > 0:
-                chi = self._prop.adjoint(np.conj(object_patch[s]) * chi)
         result = GradientResult(
-            object_grad=grad,
-            cost=cost,
-            exit_amplitude=amplitude if keep_exit_wave else None,
+            object_grad=grads[0],
+            cost=float(costs[0]),
+            exit_amplitude=None if amplitude is None else amplitude[0],
         )
-        if compute_probe_grad:
-            # d f / d conj(p): one more chain step through slice 0.
-            result.probe_grad = np.conj(object_patch[0]) * chi
-        return result
-
-    def _cost_and_gradient_modes(
-        self,
-        modes: np.ndarray,
-        object_patch: np.ndarray,
-        measured_amplitude: np.ndarray,
-        keep_exit_wave: bool,
-        compute_probe_grad: bool,
-    ) -> GradientResult:
-        """The incoherent (mixed-state) cost+gradient for an ``(M, w, w)``
-        stack, M > 1.
-
-        ``A = sqrt(sum_m |Psi_m|^2)``; the per-mode detector seed
-        ``(A - y) * Psi_m / (A + eps)`` reduces structurally to the
-        scalar formula at one mode.  The object gradient sums mode
-        contributions (the object is shared); the probe gradient stays
-        per-mode.
-        """
-        cdtype = self.precision.complex_dtype
-        measured = np.asarray(
-            measured_amplitude, dtype=self.precision.real_dtype
-        )
-        object_patch = np.asarray(object_patch, dtype=cdtype)
-        n_modes = modes.shape[0]
-
-        incident = np.empty(
-            (self.n_slices, n_modes, self.window, self.window), dtype=cdtype
-        )
-        psi = np.asarray(modes, dtype=cdtype)
-        for s in range(self.n_slices):
-            incident[s] = psi
-            phi = psi * object_patch[s]
-            psi = self._prop.forward(phi) if s < self.n_slices - 1 else phi
-        far_field = fft2c(psi, self.backend)
-        amplitude = np.sqrt(
-            np.sum(
-                far_field.real * far_field.real
-                + far_field.imag * far_field.imag,
-                axis=0,
-            )
-        )
-
-        residual = amplitude - measured
-        cost = float(np.sum(residual * residual, dtype=np.float64))
-
-        # Per-mode adjoint seed: d f / d conj(Psi_m) broadcast over M.
-        phase = far_field / (amplitude + _AMPLITUDE_EPS)
-        chi = ifft2c(residual * phase, self.backend)
-
-        grad = np.empty(
-            (self.n_slices, self.window, self.window), dtype=cdtype
-        )
-        for s in range(self.n_slices - 1, -1, -1):
-            grad[s] = np.sum(np.conj(incident[s]) * chi, axis=0)
-            if s > 0:
-                chi = self._prop.adjoint(np.conj(object_patch[s]) * chi)
-        result = GradientResult(
-            object_grad=grad,
-            cost=cost,
-            exit_amplitude=amplitude if keep_exit_wave else None,
-        )
-        if compute_probe_grad:
-            result.probe_grad = np.conj(object_patch[0]) * chi
+        if probe_grads is not None:
+            probe_grads = probe_grads[:, 0]  # (M, w, w)
+            stacked = np.ndim(probe) == 3
+            result.probe_grad = probe_grads if stacked else probe_grads[0]
         return result
 
     def cost_and_gradient_batch(
@@ -439,198 +381,26 @@ class MultisliceModel:
 
         ``object_patches`` is ``(B, n_slices, window, window)`` and
         ``measured_amplitudes`` ``(B, window, window)``; every FFT runs
-        once over the whole ``(B, window, window)`` stack — the batched
-        hot path the data pipeline exists to exploit.  Accepts
+        once over the whole ``(M, B, window, window)`` stack — the
+        batched hot path the data pipeline exists to exploit.  Accepts
         non-contiguous inputs (gathered patch stacks, strided store
-        reads) without further copies beyond the dtype conversion.
-
-        A mixed-state ``(M, w, w)`` probe batches over ``(M, B, w, w)``
-        stacks (per-mode ``probe_grads``); a single-mode stack delegates
-        to this scalar path bit-for-bit.
+        reads); the layout permutation is the only copy.
         """
-        modes = self._probe_modes(probe)
-        if modes is not None:
-            return self._cost_and_gradient_batch_modes(
-                modes, object_patches, measured_amplitudes,
-                compute_probe_grad,
-            )
-        if np.asarray(probe).ndim == 3:
-            result = self.cost_and_gradient_batch(
-                self._scalar_probe(probe),
-                object_patches,
-                measured_amplitudes,
-                compute_probe_grad,
-            )
-            if result.probe_grads is not None:
-                result.probe_grads = result.probe_grads.reshape(
-                    (1,) + result.probe_grads.shape
-                )
-            return result
-        object_patches = np.asarray(
-            object_patches, dtype=self.precision.complex_dtype
+        grads, costs, _, probe_grads = self._evaluate(
+            probe, object_patches, measured_amplitudes, False,
+            compute_probe_grad,
         )
-        if (
-            object_patches.ndim != 4
-            or object_patches.shape[1:]
-            != (self.n_slices, self.window, self.window)
-        ):
-            raise ValueError(
-                f"object patches shape {object_patches.shape} != "
-                f"(B, {self.n_slices}, {self.window}, {self.window})"
-            )
-        batch = object_patches.shape[0]
-        measured = np.asarray(
-            measured_amplitudes, dtype=self.precision.real_dtype
-        )
-        if measured.shape != (batch, self.window, self.window):
-            raise ValueError(
-                f"measurement shape {measured.shape} != "
-                f"({batch}, {self.window}, {self.window})"
-            )
-        cdtype = self.precision.complex_dtype
+        if probe_grads is not None and np.ndim(probe) != 3:
+            probe_grads = probe_grads[0]
+        return BatchGradientResult(grads, costs, probe_grads)
 
-        # Forward sweep over the stack, remembering every incident wave.
-        incident = np.empty(
-            (self.n_slices, batch, self.window, self.window), dtype=cdtype
-        )
-        psi = np.broadcast_to(
-            np.asarray(probe, dtype=cdtype), (batch, self.window, self.window)
-        )
-        for s in range(self.n_slices):
-            incident[s] = psi
-            phi = psi * object_patches[:, s]
-            psi = self._prop.forward(phi) if s < self.n_slices - 1 else phi
-        far_field = fft2c(psi, self.backend)
-        amplitude = np.abs(far_field)
-
-        residual = amplitude - measured
-        costs = np.sum(
-            residual * residual, axis=(-2, -1), dtype=np.float64
-        )
-
-        phase = far_field / (amplitude + _AMPLITUDE_EPS)
-        chi = ifft2c(residual * phase, self.backend)
-
-        grads = np.empty(
-            (batch, self.n_slices, self.window, self.window), dtype=cdtype
-        )
-        for s in range(self.n_slices - 1, -1, -1):
-            grads[:, s] = np.conj(incident[s]) * chi
-            if s > 0:
-                chi = self._prop.adjoint(
-                    np.conj(object_patches[:, s]) * chi
-                )
-        result = BatchGradientResult(object_grads=grads, costs=costs)
-        if compute_probe_grad:
-            result.probe_grads = np.conj(object_patches[:, 0]) * chi
-        return result
-
-    def _cost_and_gradient_batch_modes(
-        self,
-        modes: np.ndarray,
-        object_patches: np.ndarray,
-        measured_amplitudes: np.ndarray,
-        compute_probe_grad: bool,
-    ) -> BatchGradientResult:
-        """Batched mixed-state sweep: ``M`` modes x ``B`` locations as
-        one ``(M, B, w, w)`` stack through every FFT."""
-        cdtype = self.precision.complex_dtype
-        object_patches = np.asarray(object_patches, dtype=cdtype)
-        if (
-            object_patches.ndim != 4
-            or object_patches.shape[1:]
-            != (self.n_slices, self.window, self.window)
-        ):
-            raise ValueError(
-                f"object patches shape {object_patches.shape} != "
-                f"(B, {self.n_slices}, {self.window}, {self.window})"
-            )
-        batch = object_patches.shape[0]
-        measured = np.asarray(
-            measured_amplitudes, dtype=self.precision.real_dtype
-        )
-        if measured.shape != (batch, self.window, self.window):
-            raise ValueError(
-                f"measurement shape {measured.shape} != "
-                f"({batch}, {self.window}, {self.window})"
-            )
-        n_modes = modes.shape[0]
-
-        incident = np.empty(
-            (self.n_slices, n_modes, batch, self.window, self.window),
-            dtype=cdtype,
-        )
-        psi = np.broadcast_to(
-            np.asarray(modes, dtype=cdtype)[:, None],
-            (n_modes, batch, self.window, self.window),
-        )
-        for s in range(self.n_slices):
-            incident[s] = psi
-            phi = psi * object_patches[:, s]
-            psi = self._prop.forward(phi) if s < self.n_slices - 1 else phi
-        far_field = fft2c(psi, self.backend)
-        amplitude = np.sqrt(
-            np.sum(
-                far_field.real * far_field.real
-                + far_field.imag * far_field.imag,
-                axis=0,
-            )
-        )
-
-        residual = amplitude - measured
-        costs = np.sum(
-            residual * residual, axis=(-2, -1), dtype=np.float64
-        )
-
-        phase = far_field / (amplitude + _AMPLITUDE_EPS)
-        chi = ifft2c(residual * phase, self.backend)
-
-        grads = np.empty(
-            (batch, self.n_slices, self.window, self.window), dtype=cdtype
-        )
-        for s in range(self.n_slices - 1, -1, -1):
-            grads[:, s] = np.sum(np.conj(incident[s]) * chi, axis=0)
-            if s > 0:
-                chi = self._prop.adjoint(
-                    np.conj(object_patches[:, s]) * chi
-                )
-        result = BatchGradientResult(object_grads=grads, costs=costs)
-        if compute_probe_grad:
-            result.probe_grads = np.conj(object_patches[:, 0]) * chi
-        return result
-
-    def cost_only(
-        self,
-        probe: np.ndarray,
-        object_patch: np.ndarray,
-        measured_amplitude: np.ndarray,
-    ) -> float:
-        """Just the data-fit value ``f_i`` (used for convergence curves)."""
-        amplitude = self.forward_amplitude(probe, object_patch)
-        residual = amplitude - measured_amplitude
-        return float(np.sum(residual * residual))
-
-    # ------------------------------------------------------------------
     def flops_per_probe(self) -> float:
-        """Modeled floating-point work of one cost+gradient evaluation.
+        """Modeled floating-point work of one cost+gradient evaluation:
+        :func:`repro.perfmodel.cost_model.multislice_flops` for this
+        geometry (imported here — ``perfmodel`` itself imports physics)."""
+        from repro.perfmodel.cost_model import multislice_flops
 
-        Dominated by FFTs: forward does ``2(S-1) + 1`` transforms and the
-        adjoint mirrors it, each ``5 * n^2 * log2(n^2)`` flops, plus O(S n^2)
-        pointwise work.  This is the ``N log N`` growth the paper credits
-        for the super-linear strong scaling (Sec. VI-C).
-        """
-        n2 = float(self.window * self.window)
-        ffts = 2 * (2 * (self.n_slices - 1) + 1) + 2  # fwd+adj chains + det pair
-        fft_flops = 5.0 * n2 * np.log2(max(n2, 2.0))
-        pointwise = 12.0 * self.n_slices * n2
-        return ffts * fft_flops + pointwise
-
-    def _check_patch(self, object_patch: np.ndarray) -> None:
-        expected = (self.n_slices, self.window, self.window)
-        if object_patch.shape != expected:
-            raise ValueError(
-                f"object patch shape {object_patch.shape} != {expected}"
-            )
+        return multislice_flops(self.window, self.n_slices)
 
 
 def probe_gradient(

@@ -10,6 +10,15 @@ band-limited Fresnel propagator in the spatial-frequency domain:
 ``H`` has unit modulus, so propagation is unitary — intensity is conserved
 slice to slice, which the tests assert.  The operator's adjoint is
 propagation with ``conj(H)``, used by the analytic gradient.
+
+The transfer function is stored in the FFT-native layout
+(``H~ = ifftshift(H)``, see :mod:`repro.utils.fftutils`), so a wave that
+is already native propagates with two transforms and one in-place
+multiply — :meth:`FresnelPropagator.forward_native`, the step the
+multislice kernel calls.  The centred :meth:`~FresnelPropagator.forward`
+/ :meth:`~FresnelPropagator.adjoint` are that step between one
+permutation in and one out, which equals ``ifft2c(H * fft2c(x))``
+bit for bit (permutations commute with elementwise arithmetic).
 """
 
 from __future__ import annotations
@@ -24,7 +33,13 @@ from repro.backend.base import (
     resolve_backend,
     resolve_precision,
 )
-from repro.utils.fftutils import fft2c, fftfreq_grid, ifft2c
+from repro.utils.fftutils import (
+    fft2u,
+    fftfreq_grid,
+    ifft2u,
+    to_centred,
+    to_native,
+)
 
 __all__ = ["FresnelPropagator"]
 
@@ -50,8 +65,8 @@ class FresnelPropagator:
     backend / dtype:
         Compute backend and precision policy (see :mod:`repro.backend`);
         ``None`` resolves the ambient defaults.  The kernel is stored at
-        the policy's complex width so a ``complex64`` field stays
-        ``complex64`` through propagation.
+        the policy's complex width; a field comes back at the width it
+        went in with (``complex64`` stays ``complex64``).
     """
 
     def __init__(
@@ -85,24 +100,38 @@ class FresnelPropagator:
         # quadratic phase at the field corners.
         k_nyq = 0.5 / self.pixel_size_pm
         kernel[np.sqrt(k2) > self.bandlimit * k_nyq] = 0.0
-        self._kernel = kernel.astype(self.precision.complex_dtype)
-        self._kernel_conj = np.conj(self._kernel)
+        self._native = to_native(kernel.astype(self.precision.complex_dtype))
+        self._native_conj = np.conj(self._native)
 
     @property
     def kernel(self) -> np.ndarray:
-        """The centered frequency-domain transfer function (read-only)."""
-        return self._kernel
+        """The centered frequency-domain transfer function (a copy)."""
+        return to_centred(self._native)
+
+    def _apply(self, kernel: np.ndarray, field: np.ndarray) -> np.ndarray:
+        b = self.backend
+        spectrum = fft2u(field, b)
+        # In place, kernel first: the operand order of ``H * FFT(x)``.
+        np.multiply(kernel, spectrum, out=spectrum)
+        return ifft2u(spectrum, b)
+
+    def forward_native(self, field: np.ndarray) -> np.ndarray:
+        """Propagate a native-layout ``field`` forward by ``dz_pm``
+        (native in, native out)."""
+        return self._apply(self._native, field)
+
+    def adjoint_native(self, field: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`forward_native`."""
+        return self._apply(self._native_conj, field)
 
     def forward(self, field: np.ndarray) -> np.ndarray:
-        """Propagate ``field`` forward by ``dz_pm``."""
-        b = self.backend
-        return ifft2c(self._kernel * fft2c(field, b), b)
+        """Propagate the centred ``field`` forward by ``dz_pm``."""
+        return to_centred(self.forward_native(to_native(field)))
 
     def adjoint(self, field: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`forward` (= backward propagation for a unitary
         kernel); used when back-propagating gradients through slices."""
-        b = self.backend
-        return ifft2c(self._kernel_conj * fft2c(field, b), b)
+        return to_centred(self.adjoint_native(to_native(field)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -41,7 +41,12 @@ CDTYPES = [np.complex64, np.complex128]
 
 class TestBatchedInputs:
     @pytest.mark.parametrize("cdtype", CDTYPES)
-    @pytest.mark.parametrize("shape", [(5, 12, 12), (3, 2, 8, 8)])
+    @pytest.mark.parametrize(
+        "shape",
+        # The last three are the kernel's (M, B, w, w) / (1, 1, w, w)
+        # views at odd and non-power-of-two windows.
+        [(5, 12, 12), (3, 2, 8, 8), (2, 3, 7, 7), (1, 1, 33, 33), (2, 4, 24, 24)],
+    )
     def test_batch_axes_match_per_item_loop(
         self, backend, rng, cdtype, shape
     ):

@@ -10,7 +10,7 @@ The guarantees tested here are tiered deliberately:
   operations reorder; eps-level agreement is the physically meaningful
   (and achievable) contract.
 * **complex64 stays complex64 on every backend** — the dtype-preservation
-  repair (``np.fft`` alone upcasts silently).
+  contract (native in ``np.fft`` since numpy 2.0, the stated floor).
 """
 
 import numpy as np
@@ -48,6 +48,27 @@ class TestNumpyBitIdentity:
         assert np.array_equal(
             b.ifft2(field).view(np.float64), expected.view(np.float64)
         )
+
+    @pytest.mark.parametrize("dtype", DTYPES + [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "shape", [(16, 16), (7, 7), (3, 15, 33), (2, 4, 24, 24)]
+    )
+    def test_two_pass_transform_is_np_fft2(self, rng, shape, dtype):
+        """The backend issues the 2-D transform as np.fft.fft2's own two
+        1-D passes (second one in place): same bits and dtype at every
+        shape and width, and the input is left untouched."""
+        b = get_backend("numpy")
+        x = rng.normal(size=shape)
+        if np.issubdtype(dtype, np.complexfloating):
+            x = x + 1j * rng.normal(size=shape)
+        x = x.astype(dtype)
+        for view in (x, x[..., ::-1, :]):
+            before = view.copy()
+            for ours, theirs in ((b.fft2, np.fft.fft2), (b.ifft2, np.fft.ifft2)):
+                out, expected = ours(view), theirs(view, norm="ortho")
+                assert out.dtype == expected.dtype
+                assert out.tobytes() == expected.tobytes()
+            assert np.array_equal(view, before)
 
     def test_fft2c_bit_identical_to_pre_backend_form(self, field):
         """fft2c with the default backend == the historical hard-wired

@@ -8,10 +8,12 @@ checkpoint resume keys keep matching.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import ReconstructionConfig, reconstruct
 from repro.obs.telemetry import ENV_TRACE, Telemetry, activate
+from repro.physics.multislice import MultisliceModel
 
 from tests.helpers import result_fingerprint
 
@@ -82,3 +84,95 @@ class TestConfigNeutrality:
     def test_non_bool_rejected(self):
         with pytest.raises(ValueError, match="telemetry"):
             _config(telemetry="yes")
+
+
+def _fft_counts(counters):
+    """The ``fft.*`` counters that are counts (timings excluded)."""
+    return {
+        key: value
+        for key, value in counters.items()
+        if key.startswith("fft.") and not key.endswith("seconds")
+    }
+
+
+class TestFftCounterContinuity:
+    """The multislice kernel transforms in the FFT-native layout through
+    ``fft2u``/``ifft2u``; what it reports must read exactly as when every
+    transform went through ``fft2c``/``ifft2c``: ``4S - 2`` transforms
+    per evaluation, all leading axes counted as batch."""
+
+    SLICES, WINDOW = 3, 12
+
+    def _evaluate(self, modes, batch):
+        rng = np.random.default_rng(5)
+        w, s = self.WINDOW, self.SLICES
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        model = MultisliceModel(
+            w, s, 10.0, 2.508, 125.0, backend="numpy", dtype="complex128"
+        )
+        probe = cplx(w, w) if modes is None else cplx(modes, w, w)
+        patches, measured = cplx(batch, s, w, w), np.abs(cplx(batch, w, w))
+        tel = Telemetry()
+        with activate(tel):
+            if batch == 1:
+                model.cost_and_gradient(probe, patches[0], measured[0])
+            else:
+                model.cost_and_gradient_batch(probe, patches, measured)
+        return _fft_counts(tel.counters_snapshot())
+
+    @pytest.mark.parametrize(
+        "modes, batch, planes",
+        [(None, 1, 1), (1, 1, 1), (None, 3, 3), (2, 1, 2), (2, 3, 6)],
+    )
+    def test_one_evaluation_counts_4s_minus_2(self, modes, batch, planes):
+        transforms = 4 * self.SLICES - 2
+        assert self._evaluate(modes, batch) == {
+            "fft.calls": transforms,
+            "fft.fft2.calls": transforms // 2,
+            "fft.ifft2.calls": transforms // 2,
+            "fft.numpy.calls": transforms,
+            f"fft.batch[{planes}x{self.WINDOW}x{self.WINDOW}].calls": transforms,
+        }
+
+    # Recorded at the last commit whose kernel used the centred
+    # transforms (PR 13), for these exact runs on ``tiny_dataset``
+    # (9 probes, 16 px, 2 slices; 2 ranks, 2 iterations).
+    PER_POSITION = {
+        "fft.calls": 108.0,
+        "fft.fft2.calls": 54.0,
+        "fft.ifft2.calls": 54.0,
+        "fft.numpy.calls": 108.0,
+        "fft.batch[1x16x16].calls": 108.0,
+    }
+    BATCHED_MIXED = {
+        "fft.calls": 36.0,
+        "fft.fft2.calls": 18.0,
+        "fft.ifft2.calls": 18.0,
+        "fft.numpy.calls": 36.0,
+        "fft.batch[4x16x16].calls": 12.0,
+        "fft.batch[6x16x16].calls": 12.0,
+        "fft.batch[8x16x16].calls": 12.0,
+    }
+
+    @pytest.mark.parametrize(
+        "mode, extra, expected",
+        [
+            ("alg1", {}, PER_POSITION),
+            ("synchronous", {"probe_modes": 2, "batch_size": 4}, BATCHED_MIXED),
+        ],
+    )
+    def test_traced_gd_run_reads_as_before(
+        self, tiny_dataset, mode, extra, expected
+    ):
+        config = _config(
+            solver_params={
+                "iterations": 2, "lr": 0.02, "n_ranks": 2, "mode": mode
+            },
+            telemetry=True,
+            **extra,
+        )
+        result = reconstruct(tiny_dataset, config=config)
+        assert _fft_counts(result.telemetry["counters"]) == expected

@@ -1,12 +1,15 @@
 """Calibrated cost model."""
 
+import numpy as np
 import pytest
 
 from repro.core.decomposition import decompose_gradient
+from repro.obs.telemetry import Telemetry, activate
 from repro.parallel.topology import MeshLayout
 from repro.perfmodel.cost_model import SummitCostModel, multislice_flops
 from repro.perfmodel.machine import SUMMIT
 from repro.physics.dataset import large_pbtio3_spec
+from repro.physics.multislice import MultisliceModel
 from repro.physics.scan import RasterScan
 
 
@@ -31,6 +34,29 @@ class TestFlops:
         small = multislice_flops(256, 10)
         large = multislice_flops(1024, 10)
         assert large / small > 16  # super-linear in area
+
+
+    @pytest.mark.parametrize("n_slices", [1, 2, 6])
+    def test_fft_term_counts_the_kernels_transforms(self, n_slices):
+        """The model charges 5 n^2 log2(n^2) per transform for exactly
+        the transforms a cost+gradient evaluation performs: 4S - 2."""
+        window = 8
+        model = MultisliceModel(
+            window, n_slices, 10.0, 2.5, 125.0, backend="numpy"
+        )
+        field = np.ones((window, window), dtype=complex)
+        tel = Telemetry()
+        with activate(tel):
+            model.cost_and_gradient(
+                field, np.ones((n_slices, window, window), dtype=complex),
+                np.abs(field),
+            )
+        performed = tel.counters_snapshot()["fft.calls"]
+        assert performed == 4 * n_slices - 2
+        n2 = float(window * window)
+        assert multislice_flops(window, n_slices) == pytest.approx(
+            performed * 5.0 * n2 * np.log2(n2) + 12.0 * n_slices * n2
+        )
 
 
 class TestProbeSeconds:
