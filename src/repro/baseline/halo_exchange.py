@@ -87,8 +87,9 @@ class HaloExchangeReconstructor:
         from an on-disk store instead of pinning it in RAM — numerics
         are unchanged.  ``batch_size`` is accepted for config
         uniformity but is a no-op here: the local solves are sequential
-        SGD, whose semantics forbid batching (pinned by the parity
-        suite).
+        SGD, whose semantics forbid batching within a rank (pinned by
+        the parity suite) — each rank contributes one position per
+        kernel call, and ranks sharing an engine share the call.
     positions:
         Restrict local solves to this scan-position subset (``None`` =
         the full scan).  The streaming driver plans each epoch over a

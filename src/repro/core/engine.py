@@ -46,7 +46,6 @@ from repro.core.decomposition import Decomposition
 from repro.core.passes import TAG_NEIGHBOR
 from repro.obs import telemetry as _obs
 from repro.data import (
-    BatchPlanner,
     DiffractionStore,
     InMemoryStore,
     open_store,
@@ -92,6 +91,16 @@ _PHASE_OF = {
     ApplyProbeUpdate: "engine.apply",
     OrthogonalizeProbe: "engine.orthogonalize",
 }
+
+#: The ops that evaluate probe positions (and may share a kernel call).
+_GRADIENT_OPS = (ComputeGradients, LocalSolve)
+
+
+def _updates_locally(op: Union[ComputeGradients, LocalSolve]) -> bool:
+    """True when every evaluation of ``op`` is followed by a local update
+    (Alg. 1 line 8; each ``LocalSolve`` SGD step) that changes the volume
+    the rank's next position reads — its positions must stay sequential."""
+    return isinstance(op, LocalSolve) or op.local_update
 
 
 @dataclass
@@ -180,14 +189,17 @@ class NumericEngine:
         (caller keeps ownership).  Stores never change numerics — only
         where the bytes live.
     batch_size:
-        Probes evaluated per multislice sweep (``None`` resolves
-        ``REPRO_BATCH_SIZE``, else 1).  Batching applies only to
-        order-independent gradient accumulation (synchronous-mode
-        ``ComputeGradients``); sequential-update ops (Alg. 1 local
-        steps, halo-exchange local solves) always run per position
-        because their semantics depend on the update interleaving.
-        Batched execution is bit-identical to per-position execution
-        (pinned by the ``tests/data`` parity suite).
+        Probes *per rank* evaluated per multislice call (``None``
+        resolves ``REPRO_BATCH_SIZE``, else 1).  More than one applies
+        only to order-independent gradient accumulation
+        (synchronous-mode ``ComputeGradients``); sequential-update ops
+        (Alg. 1 local steps, halo-exchange local solves) contribute one
+        position per rank per call because each update changes the
+        volume that rank's next position reads.  Ranks are independent
+        between communication ops, so co-hosted ranks that contribute
+        one position each share the call (see :meth:`execute`).  Every
+        setting is bit-identical to per-position execution (pinned by
+        the ``tests/data`` parity suite and ``tests/core/test_lockstep``).
     prefetch:
         Overlap the next chunk's I/O with compute (on-disk stores only).
     """
@@ -216,7 +228,6 @@ class NumericEngine:
         self.decomp = decomp
         self.lr = float(lr)
         self.batch_size = resolve_batch_size(batch_size)
-        self._planner = BatchPlanner(self.batch_size)
         # open_store geometry-checks every source (paths, instances)
         # against the dataset.
         self.store, self._owns_store = open_store(
@@ -320,9 +331,11 @@ class NumericEngine:
         # main), so this binds the per-run/per-worker recorder once
         # instead of a thread-local lookup per op.
         self._obs = _obs.current()
+        #: One-slot cache of :meth:`_program`: (schedule, its length, groups).
+        self._compiled: Optional[Tuple[Schedule, int, List[List[Op]]]] = None
         self._dispatch = {
-            ComputeGradients: self._op_compute,
-            LocalSolve: self._op_local_solve,
+            ComputeGradients: self._op_sweep,
+            LocalSolve: self._op_sweep,
             BufferExchange: self._op_exchange,
             AllReduceGradient: self._op_allreduce,
             ApplyBufferUpdate: self._op_apply,
@@ -415,36 +428,88 @@ class NumericEngine:
         Hosting all ranks (the default), that is every op; hosting a
         subset, ops whose ranks are all elsewhere are skipped — the
         remaining sequence is exactly this worker's merged SPMD program.
+        Runs of gradient ops on distinct hosted ranks execute as one
+        lockstep sweep (see :meth:`_program`); a traced run executes the
+        same program.
         """
         tel = self._obs
-        if not tel.enabled:
-            for op in schedule:
-                if not self._hosts_all and self._hosted_set.isdisjoint(
-                    op.ranks()
-                ):
-                    continue
-                handler = self._dispatch.get(type(op))
-                if handler is None:  # pragma: no cover - future op types
-                    raise TypeError(
-                        f"numeric engine cannot run {type(op).__name__}"
-                    )
-                handler(op)
-            return
-        for op in schedule:
-            op_ranks = self._hosted_set.intersection(op.ranks())
-            if not self._hosts_all and not op_ranks:
+        for ops in self._program(schedule):
+            kind = type(ops[0])
+            handler = self._dispatch[kind]
+            if not tel.enabled:
+                handler(*ops)
                 continue
-            handler = self._dispatch.get(type(op))
-            if handler is None:  # pragma: no cover - future op types
+            # Attribute the span to the lowest hosted rank it touches —
+            # point-to-point ops and fused sweeps appear on one
+            # timeline, not several, which keeps per-rank rows readable
+            # (a sweep names its members in ``ranks=``).
+            ranks = sorted(
+                self._hosted_set.intersection(
+                    r for op in ops for r in op.ranks()
+                )
+            )
+            args = {"ranks": ranks} if kind in _GRADIENT_OPS else {}
+            with tel.span(
+                _PHASE_OF.get(kind, "engine.op"), rank=ranks[0], **args
+            ):
+                handler(*ops)
+
+    def _program(self, schedule: Schedule) -> List[List[Op]]:
+        """This engine's program for ``schedule``, compiled once per
+        schedule object: the hosted ops in order, one handler call per
+        inner list, with every maximal run of consecutive *fusable*
+        gradient ops folded into one lockstep group that
+        :meth:`_op_sweep` runs as a single sweep.
+
+        Ops fuse when they are all ``ComputeGradients`` with the same
+        ``local_update`` or all ``LocalSolve``, sit on pairwise distinct
+        ranks (a rank's own ops stay sequential) and contribute one
+        position per kernel call.  That is exact: members own disjoint
+        :class:`RankState`, each rank's position order is untouched, no
+        communication op lies inside a run, and per-item batched values
+        equal scalar ones bit for bit.  An order-independent op at
+        ``batch_size > 1`` is a group of one and keeps its within-rank
+        batches — its call is already wide.
+        """
+        cached = self._compiled
+        if (
+            cached is not None
+            and cached[0] is schedule
+            and cached[1] == len(schedule)
+        ):
+            return cached[2]
+        groups: List[List[Op]] = []
+        for op in schedule:
+            if self._hosted_set.isdisjoint(op.ranks()):
+                continue
+            if type(op) not in self._dispatch:  # pragma: no cover
                 raise TypeError(
                     f"numeric engine cannot run {type(op).__name__}"
                 )
-            # Attribute the span to the lowest hosted rank the op
-            # touches — point-to-point ops appear on one timeline, not
-            # both, which keeps per-rank rows readable.
-            with tel.span(_PHASE_OF.get(type(op), "engine.op"),
-                          rank=min(op_ranks)):
-                handler(op)
+            if groups and self._fuses(groups[-1], op):
+                groups[-1].append(op)
+            else:
+                groups.append([op])
+        self._compiled = (schedule, len(schedule), groups)
+        return groups
+
+    def _positions_per_call(self, op: Op) -> int:
+        """Positions a gradient op contributes to each kernel call:
+        ``batch_size`` while its evaluations are order-independent, one
+        when each is followed by a local update."""
+        return 1 if _updates_locally(op) else self.batch_size
+
+    def _fuses(self, group: List[Op], op: Op) -> bool:
+        """Whether ``op`` may join the lockstep ``group`` that precedes
+        it (see :meth:`_program`)."""
+        head = group[0]
+        return (
+            type(op) in _GRADIENT_OPS
+            and type(op) is type(head)
+            and _updates_locally(op) == _updates_locally(head)
+            and self._positions_per_call(op) == 1
+            and all(op.rank != member.rank for member in group)
+        )
 
     def iteration_cost(self) -> float:
         """Sum of per-probe data-fit values recorded since the last call
@@ -496,40 +561,25 @@ class NumericEngine:
     # ------------------------------------------------------------------
     # Measurement reads (store-backed)
     # ------------------------------------------------------------------
-    def _measured(self, state: RankState, idx: int) -> np.ndarray:
-        """One measured amplitude at compute precision — from the pinned
-        shard when present, else straight from the store."""
-        frame = state.measurements.get(idx)
-        if frame is None:
-            if self._obs.enabled:
-                t0 = time.perf_counter()
-                frame = self.store.read(idx)
-                self._obs.add({
-                    "store.read.calls": 1,
-                    "store.read.seconds": time.perf_counter() - t0,
-                })
-            else:
-                frame = self.store.read(idx)
-        return np.asarray(frame, dtype=self.precision.real_dtype)
-
-    def _measured_batch(
-        self, state: RankState, indices: Sequence[int]
+    def _measured(
+        self, items: Sequence[Tuple[RankState, int]]
     ) -> np.ndarray:
-        """``(B, det, det)`` measured stack at compute precision.  The
-        per-item conversion is elementwise, so values are bit-identical
-        to ``B`` separate :meth:`_measured` reads."""
-        if state.measurements:
-            stack = np.stack([state.measurements[i] for i in indices])
-        elif self._obs.enabled:
+        """``(B, det, det)`` measured stack at compute precision, one
+        frame per ``(state, probe index)`` — from the pinned shards when
+        present, else one gathered store read.  The conversion is
+        elementwise, so each frame is bit-identical to a single read."""
+        if self._pin_measurements:
+            stack = np.stack([s.measurements[idx] for s, idx in items])
+        else:
+            indices = [idx for _, idx in items]
             t0 = time.perf_counter()
             stack = self.store.read_batch(indices)
-            self._obs.add({
-                "store.read.calls": 1,
-                "store.read.frames": len(indices),
-                "store.read.seconds": time.perf_counter() - t0,
-            })
-        else:
-            stack = self.store.read_batch(indices)
+            if self._obs.enabled:
+                self._obs.add({
+                    "store.read.calls": 1,
+                    "store.read.frames": len(indices),
+                    "store.read.seconds": time.perf_counter() - t0,
+                })
         return np.asarray(stack, dtype=self.precision.real_dtype)
 
     # ------------------------------------------------------------------
@@ -573,93 +623,71 @@ class NumericEngine:
     def _rank_probe(self, state: RankState) -> np.ndarray:
         return state.probe if state.probe is not None else self.probe
 
-    def _op_compute(self, op: ComputeGradients) -> None:
-        state = self._state(op.rank)
-        state.neighbor_snapshot = None  # buffers change: invalidate
-        probe = self._rank_probe(state)
-        # Batched execution is legal only when evaluations within the op
-        # are order-independent: local updates (Alg. 1 line 8) mutate
-        # the volume between probe reads, so they must stay sequential.
-        if self.batch_size > 1 and not op.local_update:
-            self._compute_batched(state, probe, op.probe_indices)
-            return
-        for idx in op.probe_indices:
-            window = self.dataset.scan.window_of(idx)
-            patch = self._read_patch(state, window)
-            result = self.model.cost_and_gradient(
-                probe, patch, self._measured(state, idx),
-                compute_probe_grad=self.refine_probe,
-            )
-            state.cost_accum += result.cost
-            self._scatter(state.accbuf, state, window, result.object_grad)
-            if state.localbuf is not None:
-                self._scatter(
-                    state.localbuf, state, window, result.object_grad
-                )
-            if op.local_update:
-                self._scatter(
-                    state.volume, state, window, result.object_grad, -self.lr
-                )
-            if self.refine_probe and result.probe_grad is not None:
-                state.probe_grad += result.probe_grad
+    def _op_sweep(self, *ops: Union[ComputeGradients, LocalSolve]) -> None:
+        """Run one lockstep group (see :meth:`_program`) as a sweep.
 
-    def _compute_batched(
-        self,
-        state: RankState,
-        probe: np.ndarray,
-        probe_indices: Sequence[int],
-    ) -> None:
-        """Synchronous-mode gradient accumulation, ``batch_size`` probes
-        per multislice sweep.
+        Step ``k`` stacks the ``k``-th position(s) of every member that
+        still has one — ragged tails just shrink the batch — through one
+        batched multislice call, then scatters, accumulates cost and
+        applies the local update per item, members in group order and
+        each member's positions in probe order: the same floating-point
+        accumulation sequence per rank as evaluating it alone.  A member
+        contributes several positions per call only when no volume write
+        happens between its reads (:meth:`_positions_per_call`), so all
+        patches of a step are gathered before any scatter.
 
-        All patches of a batch are read before any scatter (no volume
-        writes happen in this mode), the batched model runs the stack
-        through each FFT once, and scatters/cost/probe-gradient
-        accumulation happen per item *in probe order* — the same
-        floating-point accumulation sequence as the per-position path,
-        keeping the two bit-identical.
+        ``ComputeGradients`` accumulates into the gradient buffer (plus
+        Alg. 1's immediate local step when ``local_update``);
+        ``LocalSolve`` is the halo-voxel-exchange local phase: plain SGD
+        on the extended tile over own + extra probes, no buffer
+        involvement.  The group shares its first member's probe: every
+        rank holds the same probe between :class:`ProbeSync` updates.
         """
-        for chunk in self._planner.iter_batches(probe_indices):
-            windows = [self.dataset.scan.window_of(i) for i in chunk]
+        head = ops[0]
+        solve = isinstance(head, LocalSolve)
+        local_update = _updates_locally(head)
+        width = self._positions_per_call(head)
+        states = [self._state(op.rank) for op in ops]
+        if not solve:
+            for state in states:
+                state.neighbor_snapshot = None  # buffers change: invalidate
+        probe = self._rank_probe(states[0])
+        window_of = self.dataset.scan.window_of
+        longest = max(len(op.probe_indices) for op in ops)
+        for start in range(0, longest, width):
+            items = [
+                (state, idx, window_of(idx), op.lr if solve else self.lr)
+                for state, op in zip(states, ops)
+                for idx in op.probe_indices[start : start + width]
+            ]
+            # Named, not inlined: the previous step's stack stays
+            # allocated until this one is built, the buffer lifetime the
+            # batched path always had (inlined, `gd-batched-mixed-store`
+            # measured 5 % slower with identical work).
             patches = np.stack(
-                [self._read_patch(state, w) for w in windows]
+                [self._read_patch(s, w) for s, _, w, _ in items]
             )
             result = self.model.cost_and_gradient_batch(
                 probe,
                 patches,
-                self._measured_batch(state, chunk),
-                compute_probe_grad=self.refine_probe,
+                self._measured([item[:2] for item in items]),
+                compute_probe_grad=self.refine_probe and not solve,
             )
-            for b, window in enumerate(windows):
+            probe_grad = result.probe_grads
+            if probe_grad is not None and probe_grad.ndim == 4:
+                # Mixed-state stack (M, B, w, w): item b is [:, b].
+                probe_grad = probe_grad.swapaxes(0, 1)
+            for b, (state, _, window, lr) in enumerate(items):
                 state.cost_accum += float(result.costs[b])
                 grad = result.object_grads[b]
-                self._scatter(state.accbuf, state, window, grad)
-                if state.localbuf is not None:
-                    self._scatter(state.localbuf, state, window, grad)
-                if self.refine_probe and result.probe_grads is not None:
-                    if result.probe_grads.ndim == 4:
-                        # Mixed-state stack: (M, B, w, w), item b is [:, b].
-                        state.probe_grad += result.probe_grads[:, b]
-                    else:
-                        state.probe_grad += result.probe_grads[b]
-
-    def _op_local_solve(self, op: LocalSolve) -> None:
-        """Halo Voxel Exchange local phase: plain SGD on the extended tile
-        over own + extra probes, no buffer involvement.  Always per
-        position: each SGD step changes the volume the next probe reads,
-        so batching would change the algorithm (see ``batch_size`` doc)."""
-        state = self._state(op.rank)
-        probe = self._rank_probe(state)
-        for idx in op.probe_indices:
-            window = self.dataset.scan.window_of(idx)
-            patch = self._read_patch(state, window)
-            result = self.model.cost_and_gradient(
-                probe, patch, self._measured(state, idx)
-            )
-            state.cost_accum += result.cost
-            self._scatter(
-                state.volume, state, window, result.object_grad, -op.lr
-            )
+                if not solve:
+                    self._scatter(state.accbuf, state, window, grad)
+                    if state.localbuf is not None:
+                        self._scatter(state.localbuf, state, window, grad)
+                if local_update:
+                    self._scatter(state.volume, state, window, grad, -lr)
+                if probe_grad is not None:
+                    state.probe_grad += probe_grad[b]
 
     def _op_exchange(self, op: BufferExchange) -> None:
         # Each side runs on the worker hosting it; a serial engine hosts

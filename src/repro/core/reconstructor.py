@@ -201,12 +201,15 @@ class GradientDecompositionReconstructor:
         ``None``/``"memory"`` pins each rank's measurement shard in RAM
         (the historical behaviour, bit for bit); a path streams lazily
         from a chunked on-disk store (``prefetch=True`` overlaps the
-        next chunk's I/O with compute).  ``batch_size`` probes run
-        through each multislice sweep as one FFT batch where order
-        permits (``mode="synchronous"``); Alg. 1's per-probe local
-        updates are order-dependent and always evaluate per position.
-        ``None`` resolves ``REPRO_BATCH_SIZE``, else 1; every setting
-        is fingerprint-identical to the per-position reference.
+        next chunk's I/O with compute).  ``batch_size`` probes *per
+        rank* run through each multislice call as one FFT batch where
+        order permits (``mode="synchronous"``); Alg. 1's per-probe
+        local updates are order-dependent within a rank, so each rank
+        contributes one position per call.  Ranks that share an engine
+        and contribute one position each share the call (see
+        :class:`~repro.core.engine.NumericEngine`).  ``None`` resolves
+        ``REPRO_BATCH_SIZE``, else 1; every setting is
+        fingerprint-identical to the per-position reference.
     positions:
         Restrict sweeps to this scan-position subset (``None`` = the
         full scan).  The streaming driver plans each epoch over a

@@ -137,15 +137,21 @@ class TestFftCounterContinuity:
             f"fft.batch[{planes}x{self.WINDOW}x{self.WINDOW}].calls": transforms,
         }
 
-    # Recorded at the last commit whose kernel used the centred
-    # transforms (PR 13), for these exact runs on ``tiny_dataset``
-    # (9 probes, 16 px, 2 slices; 2 ranks, 2 iterations).
+    # The *planes* (batch x calls) were recorded at the last commit whose
+    # kernel used the centred transforms (PR 13), for these exact runs
+    # on ``tiny_dataset`` (9 probes, 16 px, 2 slices; 2 ranks, 2
+    # iterations): 9 x 2 evaluations x (4S - 2) = 108 per probe mode.
+    # How they group into calls is the engine's lockstep sweep on the
+    # serial executor: the two tiles hold 6 and 3 probes, so each
+    # iteration makes 3 calls at B = 2 and 3 ragged-tail calls at B = 1.
+    PLANES_PER_MODE = 108
     PER_POSITION = {
-        "fft.calls": 108.0,
-        "fft.fft2.calls": 54.0,
-        "fft.ifft2.calls": 54.0,
-        "fft.numpy.calls": 108.0,
-        "fft.batch[1x16x16].calls": 108.0,
+        "fft.calls": 72.0,
+        "fft.fft2.calls": 36.0,
+        "fft.ifft2.calls": 36.0,
+        "fft.numpy.calls": 72.0,
+        "fft.batch[1x16x16].calls": 36.0,
+        "fft.batch[2x16x16].calls": 36.0,
     }
     BATCHED_MIXED = {
         "fft.calls": 36.0,
@@ -172,7 +178,18 @@ class TestFftCounterContinuity:
                 "iterations": 2, "lr": 0.02, "n_ranks": 2, "mode": mode
             },
             telemetry=True,
+            # Call widths depend on how many ranks one engine hosts.
+            executor="serial",
             **extra,
         )
         result = reconstruct(tiny_dataset, config=config)
-        assert _fft_counts(result.telemetry["counters"]) == expected
+        counts = _fft_counts(result.telemetry["counters"])
+        assert counts == expected
+        # What the call table stands for, however the calls are grouped:
+        # every evaluation puts 4S - 2 planes per mode through the FFT.
+        planes = sum(
+            int(key[len("fft.batch["):].split("x")[0]) * calls
+            for key, calls in counts.items()
+            if key.startswith("fft.batch[")
+        )
+        assert planes == self.PLANES_PER_MODE * extra.get("probe_modes", 1)

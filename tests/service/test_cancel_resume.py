@@ -16,7 +16,7 @@ from repro.service import JobError, JobState, load_record, prepare_resume
 from repro.service import jobs as jobstore
 
 from tests.helpers import result_fingerprint
-from tests.service.service_configs import gd_config, hve_config
+from tests.service.service_configs import gd_config, held_worker, hve_config
 
 WAIT = 120.0
 
@@ -24,8 +24,10 @@ WAIT = 120.0
 def submit_cancel_resume(service, dataset, config, stop_at):
     """Run the interrupted path: cancel once ``stop_at`` iterations are
     banked, then resume to completion; returns the final archive."""
-    handle = service.submit(dataset, config)
-    handle.cancel(at_iteration=stop_at)
+    lr = config.solver_params["lr"]
+    with held_worker(service, dataset, lr):
+        handle = service.submit(dataset, config)
+        handle.cancel(at_iteration=stop_at)
     assert handle.wait(timeout=WAIT) == JobState.CANCELLED, \
         handle.record().error
     assert handle.record().iterations_done == stop_at
@@ -108,8 +110,9 @@ class TestPause:
     def test_pause_then_resume(self, tiny_dataset, tiny_lr, service_factory):
         config = gd_config(tiny_lr, iterations=8)
         service = service_factory(workers=1)
-        handle = service.submit(tiny_dataset, config)
-        handle.pause(at_iteration=3)
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(tiny_dataset, config)
+            handle.pause(at_iteration=3)
         assert handle.wait(timeout=WAIT) == JobState.PAUSED
         assert handle.record().iterations_done == 3
         handle.resume()
@@ -122,8 +125,11 @@ class TestPause:
         self, tiny_dataset, tiny_lr, service_factory
     ):
         service = service_factory(workers=1)
-        handle = service.submit(tiny_dataset, gd_config(tiny_lr, iterations=6))
-        handle.pause(at_iteration=2)
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(
+                tiny_dataset, gd_config(tiny_lr, iterations=6)
+            )
+            handle.pause(at_iteration=2)
         assert handle.wait(timeout=WAIT) == JobState.PAUSED
         handle.resume()
         assert handle.wait(timeout=WAIT) == JobState.DONE
@@ -159,8 +165,9 @@ class TestCancelSemantics:
         root = tmp_path / "jobs"
         config = gd_config(tiny_lr, iterations=8)
         with ReconstructionService(root, workers=1) as first:
-            handle = first.submit(tiny_dataset, config)
-            handle.cancel(at_iteration=3)
+            with held_worker(first, tiny_dataset, tiny_lr):
+                handle = first.submit(tiny_dataset, config)
+                handle.cancel(at_iteration=3)
             assert handle.wait(timeout=WAIT) == JobState.CANCELLED
             job_id = handle.job_id
         prepare_resume(root, job_id)
@@ -200,8 +207,11 @@ class TestCancelSemantics:
         # archive (carrying the banked iterations) and no loose
         # checkpoints — the layout prepare_resume builds on.
         service = service_factory(workers=1)
-        handle = service.submit(tiny_dataset, gd_config(tiny_lr, iterations=6))
-        handle.cancel(at_iteration=2)
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(
+                tiny_dataset, gd_config(tiny_lr, iterations=6)
+            )
+            handle.cancel(at_iteration=2)
         assert handle.wait(timeout=WAIT) == JobState.CANCELLED
         record = load_record(service.root, handle.job_id)
         directory = jobstore.job_dir(service.root, handle.job_id)

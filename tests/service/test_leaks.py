@@ -9,7 +9,7 @@ from repro.backend import backend_refcount
 from repro.data import write_store
 from repro.service import JobState
 
-from tests.service.service_configs import gd_config, hve_config
+from tests.service.service_configs import gd_config, held_worker, hve_config
 
 WAIT = 120.0
 
@@ -48,8 +48,11 @@ class TestBackendLeases:
         # The release runs in the leg's finally block, so an interrupted
         # job must not strand its lease either.
         service = service_factory(workers=1)
-        handle = service.submit(tiny_dataset, gd_config(tiny_lr, iterations=6))
-        handle.cancel(at_iteration=2)
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(
+                tiny_dataset, gd_config(tiny_lr, iterations=6)
+            )
+            handle.cancel(at_iteration=2)
         assert handle.wait(timeout=WAIT) == JobState.CANCELLED
         assert service.drain(timeout=WAIT)
         assert backend_refcount() == {}

@@ -11,7 +11,7 @@ from repro.service import JobState, read_progress
 from repro.service import jobs as jobstore
 
 from tests.helpers import result_fingerprint
-from tests.service.service_configs import gd_config
+from tests.service.service_configs import gd_config, held_worker
 
 WAIT = 120.0
 
@@ -71,8 +71,9 @@ class TestMidStreamCancelResume:
         # finishing the remaining epochs.
         config = streamed_config(tiny_lr, iterations=6)
         service = service_factory(workers=1)
-        handle = service.submit(tiny_dataset, config)
-        handle.cancel(at_iteration=2)
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(tiny_dataset, config)
+            handle.cancel(at_iteration=2)
         assert handle.wait(timeout=WAIT) == JobState.CANCELLED, \
             handle.record().error
         assert handle.record().iterations_done == 2
@@ -92,8 +93,9 @@ class TestMidStreamCancelResume:
         # journal rebuilt at its stream offset.
         config = streamed_config(tiny_lr, iterations=6)
         service = service_factory(workers=1)
-        handle = service.submit(tiny_dataset, config)
-        handle.cancel(at_iteration=3)
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(tiny_dataset, config)
+            handle.cancel(at_iteration=3)
         assert handle.wait(timeout=WAIT) == JobState.CANCELLED
         handle.resume()
         assert handle.wait(timeout=WAIT) == JobState.DONE
