@@ -6,16 +6,10 @@ settings of the paper's Fig. 9 and prints the cost curves as ASCII plots.
 
 Observing a run
 ---------------
-Reconstructors used to take a bare ``callback(iteration, cost, engine)``
-hook; that keyword still works but is deprecated.  The replacement is the
-structured observer API — any callable receiving a
-:class:`repro.api.IterationEvent` can be passed to
-``repro.reconstruct(dataset, config, observers=[...])`` or to any
+Any callable receiving a :class:`repro.api.IterationEvent` can be passed
+to ``repro.reconstruct(dataset, config, observers=[...])`` or to any
 reconstructor's ``reconstruct(..., observers=[...])``::
 
-    # before (deprecated):
-    recon.reconstruct(dataset, callback=lambda it, cost, eng: log(it, cost))
-    # after:
     repro.reconstruct(dataset, config,
                       observers=[lambda ev: log(ev.iteration, ev.cost)])
 

@@ -11,8 +11,7 @@ The pieces (one module each):
   third-party solvers register the same way.
 * :func:`reconstruct` — the single entry point running any config.
 * :class:`IterationEvent` / :class:`CheckpointPolicy` /
-  :class:`HistoryRecorder` — the structured observer API replacing the
-  legacy ``callback(it, cost, engine)`` hook.
+  :class:`HistoryRecorder` — the structured observer API.
 
 Minimal use::
 

@@ -35,7 +35,7 @@ import numpy as np
 from repro.api.config import ReconstructionConfig
 from repro.api.registry import solver_from_config
 from repro.core.observers import IterationEvent, Observer, dispatch
-from repro.core.reconstructor import ReconstructionResult
+from repro.core.reconstructor import ReconstructionResult, fold_leg
 from repro.data.streaming import (
     ScanSource,
     StreamError,
@@ -50,17 +50,6 @@ from repro.physics.dataset import PtychoDataset
 __all__ = ["run_streaming"]
 
 
-def _merge_peaks(banked: List[int], epoch: Sequence[int]) -> List[int]:
-    """Element-wise max of per-rank peaks (ragged-safe)."""
-    out = list(banked)
-    for i, value in enumerate(epoch):
-        if i < len(out):
-            out[i] = max(out[i], int(value))
-        else:
-            out.append(int(value))
-    return out
-
-
 class _Bank:
     """Accumulates completed-epoch results into one leg-global view."""
 
@@ -72,24 +61,21 @@ class _Bank:
         self.elapsed_s = 0.0
 
     def deposit(self, result: ReconstructionResult, elapsed_s: float) -> None:
-        self.history.extend(result.history)
-        self.messages += result.messages
-        self.message_bytes += result.message_bytes
-        self.peaks = _merge_peaks(self.peaks, result.peak_memory_per_rank)
+        total = self.merge(result)
+        self.history = total.history
+        self.messages = total.messages
+        self.message_bytes = total.message_bytes
+        self.peaks = total.peak_memory_per_rank
         self.elapsed_s += elapsed_s
 
     def merge(self, partial: ReconstructionResult) -> ReconstructionResult:
         """A leg-global result: banked epochs + an epoch-partial tail."""
-        return ReconstructionResult(
-            volume=partial.volume,
-            history=self.history + list(partial.history),
-            messages=self.messages + partial.messages,
-            message_bytes=self.message_bytes + partial.message_bytes,
-            peak_memory_per_rank=_merge_peaks(
-                self.peaks, partial.peak_memory_per_rank
-            ),
-            decomposition=partial.decomposition,
-            probe=partial.probe,
+        return fold_leg(
+            partial,
+            self.history,
+            self.messages,
+            self.message_bytes,
+            self.peaks,
         )
 
 

@@ -22,7 +22,7 @@ Table II(b)).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,19 +30,12 @@ from repro.core.decomposition import (
     Decomposition,
     decompose_halo_exchange,
 )
-from repro.core.engine import NumericEngine
-from repro.core.observers import (
-    IterationEmitter,
-    Observer,
-    warn_legacy_callback,
-)
-from repro.core.reconstructor import ReconstructionResult
-from repro.core.stitching import stitch
+from repro.core.observers import Observer
+from repro.core.reconstructor import ReconstructionResult, run_plan
 from repro.data.batching import resolve_positions
-from repro.obs import telemetry as _obs
 from repro.parallel.topology import MeshLayout
 from repro.physics.dataset import PtychoDataset
-from repro.runtime.executor import EnginePlan, resolve_executor
+from repro.runtime.executor import EnginePlan
 from repro.schedule.ops import Barrier, LocalSolve, Schedule, VoxelPaste
 
 __all__ = ["HaloExchangeReconstructor"]
@@ -228,7 +221,6 @@ class HaloExchangeReconstructor:
     def reconstruct(
         self,
         dataset: PtychoDataset,
-        callback: Optional[Callable[[int, float, NumericEngine], None]] = None,
         initial_volume: Optional[np.ndarray] = None,
         *,
         observers: Sequence[Observer] = (),
@@ -241,89 +233,34 @@ class HaloExchangeReconstructor:
             The acquisition.
         observers:
             Per-iteration hooks, each receiving a structured
-            :class:`~repro.core.observers.IterationEvent` (see that
-            module for the ``callback`` → observer migration).
-        callback:
-            **Deprecated** pre-observer hook ``callback(iteration, cost,
-            engine)``; still honoured, with a :class:`DeprecationWarning`.
+            :class:`~repro.core.observers.IterationEvent`.
         initial_volume:
             Warm-start volume (checkpoint restart); defaults to vacuum.
             Probe refinement is *not* available for this baseline — the
             registry adapter rejects it explicitly.
         """
-        executor_spec = self.executor
-        if callback is not None:
-            warn_legacy_callback(type(self).__name__)
-            if executor_spec is None:
-                # Legacy hook needs the in-process engine; see
-                # reconstructor.py — ambient resolution pins serial.
-                executor_spec = "serial"
         decomp = self.decompose(dataset)
-        schedule = self.build_iteration_schedule(decomp)
-        tel = _obs.current()
-        session = resolve_executor(
-            executor_spec, workers=self.runtime_workers
-        ).launch(
-            EnginePlan(
-                dataset=dataset,
-                decomp=decomp,
-                schedule=schedule,
-                lr=self.lr,
-                initial_volume=initial_volume,
-                backend=self.backend,
-                dtype=self.dtype,
-                data_source=self.data_source,
-                batch_size=self.batch_size,
-                prefetch=self.prefetch,
-                probe_modes=self.probe_modes,
-                telemetry=tel.enabled,
-            )
+        plan = EnginePlan(
+            dataset=dataset,
+            decomp=decomp,
+            schedule=self.build_iteration_schedule(decomp),
+            lr=self.lr,
+            initial_volume=initial_volume,
+            backend=self.backend,
+            dtype=self.dtype,
+            data_source=self.data_source,
+            batch_size=self.batch_size,
+            prefetch=self.prefetch,
+            probe_modes=self.probe_modes,
         )
-        if callback is not None and session.engine is None:
-            session.close()
-            raise ValueError(
-                "the deprecated callback= hook needs in-process engine "
-                "access and only works with the serial executor; migrate "
-                "to observers="
-            )
-
-        def result_snapshot(history: List[float]) -> ReconstructionResult:
-            return ReconstructionResult(
-                volume=stitch(decomp, session.volumes(), dataset.n_slices),
-                history=list(history),
-                messages=session.messages,
-                message_bytes=session.message_bytes,
-                peak_memory_per_rank=session.per_rank_peaks,
-                decomposition=decomp,
-            )
-
-        history: List[float] = []
-        emitter = IterationEmitter("hve", self.iterations, observers)
-        try:
-            for it in range(self.iterations):
-                if tel.enabled:
-                    with tel.span("run.iteration", iteration=it):
-                        cost = session.step()
-                else:
-                    cost = session.step()
-                history.append(cost)
-                if callback is not None:
-                    callback(it, cost, session.engine)
-                emitter.emit(
-                    it,
-                    cost,
-                    messages=session.messages,
-                    message_bytes=session.message_bytes,
-                    peak_memory_bytes=float(
-                        np.mean(session.per_rank_peaks)
-                    ),
-                    # Live state at call time; see reconstructor.py.
-                    snapshot=lambda: result_snapshot(list(history)),
-                )
-
-            return result_snapshot(history)
-        finally:
-            session.close()
+        return run_plan(
+            "hve",
+            plan,
+            self.iterations,
+            observers,
+            executor=self.executor,
+            workers=self.runtime_workers,
+        )
 
     # ------------------------------------------------------------------
     def redundancy_factor(self, decomp: Decomposition) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.backend.base import resolve_backend, resolve_precision
-from repro.core.reconstructor import ReconstructionResult
+from repro.core.reconstructor import ReconstructionResult, run_session
 from repro.core.decomposition import decompose_gradient
 from repro.data import (
     BatchPlanner,
@@ -26,15 +26,48 @@ from repro.data import (
     resolve_batch_size,
     resolve_positions,
 )
-from repro.core.observers import (
-    IterationEmitter,
-    Observer,
-    warn_legacy_callback,
-)
+from repro.core.observers import Observer
 from repro.physics.dataset import PtychoDataset
 from repro.physics.probe import make_mode_stack, orthogonalize_modes
+from repro.runtime.executor import ExecutionSession
 
 __all__ = ["SerialReconstructor"]
+
+
+class _SweepSession(ExecutionSession):
+    """The serial solver behind the session contract, so it runs on the
+    shared driver loop (:func:`~repro.core.reconstructor.run_session`):
+    one rank holding the whole volume, no traffic, ``step`` = one sweep
+    plus update.  The sweeps stay :class:`SerialReconstructor`'s own —
+    it is the independent reference the engine is tested against."""
+
+    messages = 0
+    message_bytes = 0
+
+    def __init__(
+        self,
+        step: Callable[[], float],
+        volume: np.ndarray,
+        probe: Optional[np.ndarray],
+        peak_bytes: int,
+    ) -> None:
+        self._step = step
+        self._volume = volume
+        self._probe = probe
+        self._peak_bytes = peak_bytes
+
+    def step(self) -> float:
+        return self._step()
+
+    def volumes(self) -> List[np.ndarray]:
+        return [self._volume]
+
+    def probe(self) -> Optional[np.ndarray]:
+        return None if self._probe is None else self._probe.copy()
+
+    @property
+    def per_rank_peaks(self) -> List[int]:
+        return [self._peak_bytes]
 
 
 class SerialReconstructor:
@@ -113,7 +146,6 @@ class SerialReconstructor:
     def reconstruct(
         self,
         dataset: PtychoDataset,
-        callback: Optional[Callable[[int, float, np.ndarray], None]] = None,
         initial_probe: Optional[np.ndarray] = None,
         initial_volume: Optional[np.ndarray] = None,
         *,
@@ -122,14 +154,8 @@ class SerialReconstructor:
         """Run the reconstruction; see :class:`ReconstructionResult`.
 
         ``observers`` receive one structured
-        :class:`~repro.core.observers.IterationEvent` per iteration;
-        ``callback(iteration, cost, volume)`` is the **deprecated**
-        pre-observer hook, still honoured with a
-        :class:`DeprecationWarning` (see :mod:`repro.core.observers` for
-        the migration recipe).
+        :class:`~repro.core.observers.IterationEvent` per iteration.
         """
-        if callback is not None:
-            warn_legacy_callback(type(self).__name__)
         backend = resolve_backend(self.backend)
         precision = resolve_precision(self.dtype)
         cdtype = precision.complex_dtype
@@ -207,17 +233,6 @@ class SerialReconstructor:
             + store.shard_nbytes(indices)
         )
 
-        def result_snapshot(history: List[float]) -> ReconstructionResult:
-            return ReconstructionResult(
-                volume=volume.copy(),
-                history=list(history),
-                messages=0,
-                message_bytes=0,
-                peak_memory_per_rank=[peak_bytes],
-                decomposition=decomp,
-                probe=probe.copy() if self.refine_probe else None,
-            )
-
         windows = dataset.scan.windows
         # The "sgd" scheme updates the volume between probe reads, so
         # batching would change the algorithm; only the order-free
@@ -282,39 +297,30 @@ class SerialReconstructor:
                             probe_gradient[...] += result.probe_grads[b]
             return cost
 
-        history: List[float] = []
-        emitter = IterationEmitter("serial", self.iterations, observers)
-        try:
-            for it in range(self.iterations):
-                if self.scheme == "batch":
-                    gradient[...] = 0.0
-                probe_gradient[...] = 0.0
-                cost = sweep_batched() if batched else sweep_per_position()
-                if self.scheme == "batch":
-                    volume -= self.lr * gradient
-                if self.refine_probe:
-                    probe -= probe_step * probe_gradient
-                    if n_modes > 1:
-                        # Per-sweep SVD relaxation, matching the
-                        # engine's OrthogonalizeProbe phase.
-                        probe[...] = orthogonalize_modes(probe)
-                history.append(cost)
-                if callback is not None:
-                    callback(it, cost, volume)
-                emitter.emit(
-                    it,
-                    cost,
-                    messages=0,
-                    message_bytes=0,
-                    peak_memory_bytes=float(peak_bytes),
-                    # Live state at call time; see reconstructor.py.
-                    snapshot=lambda: result_snapshot(list(history)),
-                )
+        def step() -> float:
+            nonlocal volume, probe  # ``-=`` rebinds; same arrays
+            if self.scheme == "batch":
+                gradient[...] = 0.0
+            probe_gradient[...] = 0.0
+            cost = sweep_batched() if batched else sweep_per_position()
+            if self.scheme == "batch":
+                volume -= self.lr * gradient
+            if self.refine_probe:
+                probe -= probe_step * probe_gradient
+                if n_modes > 1:
+                    # Per-sweep SVD relaxation, matching the
+                    # engine's OrthogonalizeProbe phase.
+                    probe[...] = orthogonalize_modes(probe)
+            return cost
 
-            return result_snapshot(history)
-        finally:
-            if owns_store:
-                store.close()
+        session = _SweepSession(
+            step, volume, probe if self.refine_probe else None, peak_bytes
+        )
+        if owns_store:
+            session.close = store.close
+        return run_session(
+            "serial", session, dataset, decomp, self.iterations, observers
+        )
 
     # ------------------------------------------------------------------
     def evaluate_cost(

@@ -7,7 +7,8 @@
 * :mod:`repro.core.engine` — the numeric interpreter executing schedules on
   real arrays through the virtual communicator.
 * :mod:`repro.core.reconstructor` — the public
-  :class:`GradientDecompositionReconstructor` (Alg. 1).
+  :class:`GradientDecompositionReconstructor` (Alg. 1) and the run
+  driver (``run_plan`` / ``run_session``) every solver iterates on.
 * :mod:`repro.core.stitching` — halo discard + tile stitching.
 * :mod:`repro.core.observers` — the :class:`IterationEvent` observer API
   shared by every reconstructor (re-exported via :mod:`repro.api`).

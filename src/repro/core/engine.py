@@ -56,6 +56,7 @@ from repro.parallel.memory import MemoryTracker
 from repro.physics.dataset import PtychoDataset
 from repro.physics.multislice import MultisliceModel
 from repro.physics.probe import make_mode_stack, orthogonalize_modes
+from repro.runtime.executor import EnginePlan
 from repro.schedule.ops import (
     AllReduceGradient,
     ApplyBufferUpdate,
@@ -138,8 +139,8 @@ class NumericEngine:
         (created internally when omitted).
     compensate_local:
         Ablation flag: subtract the already-applied local gradients from
-        the buffer update (Alg. 1 as printed applies them twice; see
-        DESIGN.md Sec. 6).
+        the buffer update (Alg. 1 as printed applies them twice: once
+        as the immediate local step, once inside the accumulated buffer).
     initial_probe:
         Override the dataset's (true) probe as the reconstruction's probe
         estimate — the starting point for probe refinement.  Either a
@@ -346,6 +347,44 @@ class NumericEngine:
             ApplyProbeUpdate: self._op_probe_update,
             OrthogonalizeProbe: self._op_orthogonalize,
         }
+
+    @classmethod
+    def from_plan(
+        cls,
+        plan: EnginePlan,
+        *,
+        comm: Optional[VirtualComm] = None,
+        ranks: Optional[Sequence[int]] = None,
+        shared_arrays: Optional[Mapping[Tuple[str, int], np.ndarray]] = None,
+        data_source: Union[str, DiffractionStore, None] = None,
+    ) -> "NumericEngine":
+        """The engine a launch ``plan`` describes — the one place plan
+        fields become engine keywords, so a knob added to
+        :class:`~repro.runtime.executor.EnginePlan` is wired here or
+        nowhere.  The keyword arguments are what placement adds: a
+        worker's communicator, hosted ranks, shared-memory tile storage
+        and (``None`` = the plan's) its own re-opened store handle.
+        """
+        return cls(
+            plan.dataset,
+            plan.decomp,
+            lr=plan.lr,
+            comm=comm,
+            compensate_local=plan.compensate_local,
+            initial_probe=plan.initial_probe,
+            refine_probe=plan.refine_probe,
+            initial_volume=plan.initial_volume,
+            backend=plan.backend,
+            dtype=plan.dtype,
+            ranks=ranks,
+            shared_arrays=shared_arrays,
+            data_source=(
+                plan.data_source if data_source is None else data_source
+            ),
+            batch_size=plan.batch_size,
+            prefetch=plan.prefetch,
+            probe_modes=plan.probe_modes,
+        )
 
     # ------------------------------------------------------------------
     # Setup

@@ -7,18 +7,6 @@ callable taking a single :class:`IterationEvent`; stateful observers
 (e.g. :class:`repro.api.events.CheckpointPolicy`) are plain objects with
 ``__call__``.
 
-This replaces the historical bare ``callback(iteration, cost, engine)``
-hook, whose third argument differed per reconstructor (numeric engine for
-the distributed solvers, raw volume for the serial one) and which exposed
-none of the traffic/memory counters.  The old ``callback=`` keyword still
-works but raises :class:`DeprecationWarning`; migrate with::
-
-    # before
-    recon.reconstruct(dataset, callback=lambda it, cost, eng: ...)
-    # after
-    recon.reconstruct(dataset, observers=[lambda ev: ... ev.iteration,
-                                          ev.cost, ev.snapshot() ...])
-
 The event carries a lazy ``snapshot`` thunk so expensive state
 materialization (stitching tiles into a full volume) only happens for
 observers that ask for it.
@@ -31,7 +19,6 @@ API re-exports everything here as ``repro.api.IterationEvent`` etc.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -43,7 +30,6 @@ __all__ = [
     "IterationEmitter",
     "Observer",
     "dispatch",
-    "warn_legacy_callback",
 ]
 
 
@@ -164,15 +150,3 @@ class IterationEmitter:
                 snapshot=snapshot,
             ),
         )
-
-
-def warn_legacy_callback(owner: str) -> None:
-    """Emit the deprecation warning for the pre-observer ``callback=``
-    keyword (see module docstring for the migration recipe)."""
-    warnings.warn(
-        f"{owner}.reconstruct(callback=...) is deprecated; pass "
-        "observers=[...] instead — each observer receives a structured "
-        "IterationEvent (see repro.core.observers)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -20,23 +20,32 @@ applied as a second update (lines 10-16).
 correctness anchor: no local updates, one buffer update per round — with
 exact halos it reproduces serial full-batch gradient descent to floating
 point roundoff at any rank count (tested).
+
+Steps 3-4 are not this class's own: :func:`run_plan` /
+:func:`run_session` below are the one run driver every solver (gd, hve,
+the serial reference) steps its iterations on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from itertools import zip_longest
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
 from repro.core.decomposition import Decomposition, decompose_gradient
-from repro.core.engine import NumericEngine
 from repro.obs import telemetry as _obs
-from repro.core.observers import (
-    IterationEmitter,
-    Observer,
-    warn_legacy_callback,
-)
+from repro.core.observers import IterationEmitter, Observer
 from repro.core.passes import (
     build_allreduce_sync,
     build_appp_passes,
@@ -46,7 +55,12 @@ from repro.core.passes import (
 from repro.core.stitching import stitch
 from repro.data.batching import resolve_positions
 from repro.parallel.topology import MeshLayout
-from repro.runtime.executor import EnginePlan, resolve_executor
+from repro.runtime.executor import (
+    EnginePlan,
+    ExecutionSession,
+    Executor,
+    resolve_executor,
+)
 from repro.physics.dataset import PtychoDataset
 from repro.schedule.ops import (
     ApplyBufferUpdate,
@@ -58,7 +72,13 @@ from repro.schedule.ops import (
     Schedule,
 )
 
-__all__ = ["GradientDecompositionReconstructor", "ReconstructionResult"]
+__all__ = [
+    "GradientDecompositionReconstructor",
+    "ReconstructionResult",
+    "fold_leg",
+    "run_plan",
+    "run_session",
+]
 
 _PLANNERS: Dict[str, Callable] = {
     "appp": build_appp_passes,
@@ -117,6 +137,121 @@ class ReconstructionResult:
     def peak_memory_mean(self) -> float:
         """Average per-rank peak bytes (the paper's memory metric)."""
         return float(np.mean(self.peak_memory_per_rank))
+
+
+_Leg = TypeVar("_Leg")
+
+
+def fold_leg(
+    leg: _Leg,
+    history: Sequence[float],
+    messages: int,
+    message_bytes: int,
+    peaks: Sequence[int],
+) -> _Leg:
+    """``leg`` with the ledger of the legs run before it folded in.
+
+    Chained warm-started legs (streaming epochs, a service job's
+    cancel → resume legs) report leg-local numbers; the whole run's are:
+    history and traffic **add**, per-rank memory peaks take the
+    **element-wise max** (a high-water mark; ragged-safe, though a run's
+    decomposition — hence the rank count — is fixed by its config).
+    Everything else (volume, probe, decomposition, telemetry) describes
+    the current state and is ``leg``'s.  Works on any dataclass carrying
+    the four ledger fields (:class:`ReconstructionResult`, a loaded
+    :class:`~repro.io.storage.ResultArchive`).
+    """
+    return replace(
+        leg,
+        history=[*history, *leg.history],
+        messages=int(messages) + int(leg.messages),
+        message_bytes=int(message_bytes) + int(leg.message_bytes),
+        peak_memory_per_rank=[
+            max(int(before), int(now))  # byte counts: 0 pads a ragged tail
+            for before, now in zip_longest(
+                peaks, leg.peak_memory_per_rank, fillvalue=0
+            )
+        ],
+    )
+
+
+def run_session(
+    solver_name: str,
+    session: ExecutionSession,
+    dataset: PtychoDataset,
+    decomp: Decomposition,
+    iterations: int,
+    observers: Sequence[Observer] = (),
+) -> ReconstructionResult:
+    """The one iteration loop: step a launched ``session`` ``iterations``
+    times, emit an event per iteration, stitch the final result.
+
+    Every solver runs on this loop — gd and hve through
+    :func:`run_plan`, the serial reference through its own in-process
+    session — so whatever happens at the iteration boundary (tracing,
+    observer events, later a health check) is written once.  The
+    session is closed on every exit path, including ``step()`` or an
+    observer raising (the service interrupts a leg by raising from one).
+    """
+    tel = _obs.current()
+    history: List[float] = []
+
+    def result_snapshot() -> ReconstructionResult:
+        # Materializes the session state *at call time*, so volume,
+        # counters and history always describe the same moment (history
+        # is read live, not frozen).
+        return ReconstructionResult(
+            volume=stitch(decomp, session.volumes(), dataset.n_slices),
+            history=list(history),
+            messages=session.messages,
+            message_bytes=session.message_bytes,
+            peak_memory_per_rank=session.per_rank_peaks,
+            decomposition=decomp,
+            probe=session.probe(),
+        )
+
+    # Constructed after launch: ``elapsed_s`` counts from the first step.
+    emitter = IterationEmitter(solver_name, iterations, observers)
+    with session:  # closed on every exit path
+        for it in range(iterations):
+            if tel.enabled:
+                with tel.span("run.iteration", iteration=it):
+                    cost = session.step()
+            else:
+                cost = session.step()
+            history.append(cost)
+            emitter.emit(
+                it,
+                cost,
+                messages=session.messages,
+                message_bytes=session.message_bytes,
+                peak_memory_bytes=float(np.mean(session.per_rank_peaks)),
+                snapshot=result_snapshot,
+            )
+        return result_snapshot()
+
+
+def run_plan(
+    solver_name: str,
+    plan: EnginePlan,
+    iterations: int,
+    observers: Sequence[Observer] = (),
+    *,
+    executor: Union[str, Executor, None] = None,
+    workers: Optional[int] = None,
+) -> ReconstructionResult:
+    """Launch ``plan`` on the resolved executor and run it to completion.
+
+    A schedule-compiling solver is ``decompose`` +
+    ``build_iteration_schedule`` + an :class:`EnginePlan` + this call;
+    the plan's ``telemetry`` flag is stamped here from the active
+    recorder so worker processes trace exactly when the caller does.
+    """
+    plan = replace(plan, telemetry=_obs.current().enabled)
+    session = resolve_executor(executor, workers=workers).launch(plan)
+    return run_session(
+        solver_name, session, plan.dataset, plan.decomp, iterations, observers
+    )
 
 
 def _round_chunks(
@@ -384,7 +519,6 @@ class GradientDecompositionReconstructor:
     def reconstruct(
         self,
         dataset: PtychoDataset,
-        callback: Optional[Callable[[int, float, NumericEngine], None]] = None,
         initial_probe: Optional[np.ndarray] = None,
         initial_volume: Optional[np.ndarray] = None,
         *,
@@ -403,11 +537,6 @@ class GradientDecompositionReconstructor:
             ``snapshot()`` materializing the current state as a
             :class:`ReconstructionResult`) — used by the convergence
             experiments and :class:`repro.api.CheckpointPolicy`.
-        callback:
-            **Deprecated** pre-observer hook ``callback(iteration, cost,
-            engine)``; still honoured (with a :class:`DeprecationWarning`)
-            alongside any observers.  Migrate with
-            ``observers=[lambda ev: old(ev.iteration, ev.cost, ...)]``.
         initial_probe:
             Starting probe estimate (defaults to the dataset's probe; pass
             a perturbed probe together with ``refine_probe=True`` for
@@ -415,85 +544,28 @@ class GradientDecompositionReconstructor:
         initial_volume:
             Warm-start volume (checkpoint restart); defaults to vacuum.
         """
-        executor_spec = self.executor
-        if callback is not None:
-            warn_legacy_callback(type(self).__name__)
-            if executor_spec is None:
-                # The legacy hook hands the caller the in-process engine,
-                # which only the serial executor has; ambient resolution
-                # (REPRO_EXECUTOR) must not break pre-runtime call sites,
-                # so they pin serial.  An *explicitly* requested
-                # distributed executor still errors below.
-                executor_spec = "serial"
         decomp = self.decompose(dataset)
-        schedule = self.build_iteration_schedule(decomp)
-        tel = _obs.current()
-        session = resolve_executor(
-            executor_spec, workers=self.runtime_workers
-        ).launch(
-            EnginePlan(
-                dataset=dataset,
-                decomp=decomp,
-                schedule=schedule,
-                lr=self.lr,
-                compensate_local=self.compensate_local,
-                initial_probe=initial_probe,
-                refine_probe=self.refine_probe,
-                initial_volume=initial_volume,
-                backend=self.backend,
-                dtype=self.dtype,
-                data_source=self.data_source,
-                batch_size=self.batch_size,
-                prefetch=self.prefetch,
-                probe_modes=self.probe_modes,
-                telemetry=tel.enabled,
-            )
+        plan = EnginePlan(
+            dataset=dataset,
+            decomp=decomp,
+            schedule=self.build_iteration_schedule(decomp),
+            lr=self.lr,
+            compensate_local=self.compensate_local,
+            initial_probe=initial_probe,
+            refine_probe=self.refine_probe,
+            initial_volume=initial_volume,
+            backend=self.backend,
+            dtype=self.dtype,
+            data_source=self.data_source,
+            batch_size=self.batch_size,
+            prefetch=self.prefetch,
+            probe_modes=self.probe_modes,
         )
-        if callback is not None and session.engine is None:
-            session.close()
-            raise ValueError(
-                "the deprecated callback= hook needs in-process engine "
-                "access and only works with the serial executor; migrate "
-                "to observers="
-            )
-
-        def result_snapshot(history: List[float]) -> ReconstructionResult:
-            return ReconstructionResult(
-                volume=stitch(decomp, session.volumes(), dataset.n_slices),
-                history=list(history),
-                messages=session.messages,
-                message_bytes=session.message_bytes,
-                peak_memory_per_rank=session.per_rank_peaks,
-                decomposition=decomp,
-                probe=session.probe(),
-            )
-
-        history: List[float] = []
-        emitter = IterationEmitter("gd", self.iterations, observers)
-        try:
-            for it in range(self.iterations):
-                if tel.enabled:
-                    with tel.span("run.iteration", iteration=it):
-                        cost = session.step()
-                else:
-                    cost = session.step()
-                history.append(cost)
-                if callback is not None:
-                    callback(it, cost, session.engine)
-                emitter.emit(
-                    it,
-                    cost,
-                    messages=session.messages,
-                    message_bytes=session.message_bytes,
-                    peak_memory_bytes=float(
-                        np.mean(session.per_rank_peaks)
-                    ),
-                    # Materializes the session state *at call time*, so
-                    # volume, counters and history always describe the
-                    # same moment (history is read live, not frozen).
-                    snapshot=lambda: result_snapshot(list(history)),
-                )
-
-            return result_snapshot(history)
-        finally:
-            session.close()
+        return run_plan(
+            "gd",
+            plan,
+            self.iterations,
+            observers,
+            executor=self.executor,
+            workers=self.runtime_workers,
+        )

@@ -22,8 +22,8 @@ explicit ``executor=`` (e.g. pinned in a replayed config) is never
 overridden by the environment.
 
 The :class:`ExecutionSession` contract is intentionally small — step one
-iteration, expose live volumes/counters, close — so the two
-reconstructor run loops stay executor-agnostic.
+iteration, expose live volumes/counters, close — so the one run driver
+(:func:`repro.core.reconstructor.run_session`) stays executor-agnostic.
 """
 
 from __future__ import annotations
@@ -133,10 +133,6 @@ class ExecutionSession(ABC):
     are safe to read between steps.
     """
 
-    #: The in-process engine, when there is one (serial executor only).
-    #: Distributed sessions expose ``None`` — state lives in workers.
-    engine: Optional["NumericEngine"] = None
-
     @abstractmethod
     def step(self) -> float:
         """Run one full iteration; returns the sweep cost."""
@@ -236,22 +232,7 @@ class SerialExecutor(Executor):
     def launch(self, plan: EnginePlan) -> ExecutionSession:
         from repro.core.engine import NumericEngine
 
-        engine = NumericEngine(
-            plan.dataset,
-            plan.decomp,
-            lr=plan.lr,
-            compensate_local=plan.compensate_local,
-            initial_probe=plan.initial_probe,
-            refine_probe=plan.refine_probe,
-            initial_volume=plan.initial_volume,
-            backend=plan.backend,
-            dtype=plan.dtype,
-            data_source=plan.data_source,
-            batch_size=plan.batch_size,
-            prefetch=plan.prefetch,
-            probe_modes=plan.probe_modes,
-        )
-        return _SerialSession(engine, plan.schedule)
+        return _SerialSession(NumericEngine.from_plan(plan), plan.schedule)
 
 
 # ----------------------------------------------------------------------

@@ -188,23 +188,12 @@ def _worker_main(
             data_source = data_source.worker_copy()
             if data_source is not plan.data_source:
                 worker_store = data_source
-        engine = NumericEngine(
-            plan.dataset,
-            plan.decomp,
-            lr=plan.lr,
+        engine = NumericEngine.from_plan(
+            plan,
             comm=comm,
-            compensate_local=plan.compensate_local,
-            initial_probe=plan.initial_probe,
-            refine_probe=plan.refine_probe,
-            initial_volume=plan.initial_volume,
-            backend=plan.backend,
-            dtype=plan.dtype,
             ranks=hosted,
             shared_arrays=shared_arrays,
             data_source=data_source,
-            batch_size=plan.batch_size,
-            prefetch=plan.prefetch,
-            probe_modes=plan.probe_modes,
         )
         results.put(("ready", worker_index, None))
 
@@ -251,8 +240,6 @@ def _worker_main(
 # ----------------------------------------------------------------------
 class _ProcessSession(ExecutionSession):
     """Worker choreography + shared-memory state access (parent side)."""
-
-    engine = None
 
     def __init__(
         self,
@@ -408,8 +395,8 @@ class _ProcessSession(ExecutionSession):
         if tel.enabled:
             # The parent's whole wait for the worker fleet — dispatch
             # to last report.  The gap between this and the merged
-            # per-rank engine spans *is* the process-executor overhead
-            # ROADMAP item 4 asks about.
+            # per-rank engine spans *is* the process executor's
+            # dispatch/collect overhead.
             tel.add({
                 "runtime.steps": 1,
                 "runtime.collect.seconds": time.perf_counter() - t0,

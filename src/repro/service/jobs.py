@@ -309,19 +309,20 @@ def consolidate_from_archive(
     leg's other checkpoints are dropped (their iteration numbering is
     leg-local and would collide with the next leg's).
     """
+    from repro.core.reconstructor import fold_leg
     from repro.io.storage import load_result
 
-    snap = load_result(archive_path)
-    record.carry_history = record.carry_history + list(snap.history)
-    record.carry_messages += int(snap.messages)
-    record.carry_message_bytes += int(snap.message_bytes)
-    peaks = [int(p) for p in snap.peak_memory_per_rank]
-    if record.carry_peaks:
-        record.carry_peaks = [
-            max(a, b) for a, b in zip(record.carry_peaks, peaks)
-        ]
-    else:
-        record.carry_peaks = peaks
+    total = fold_leg(
+        load_result(archive_path),
+        record.carry_history,
+        record.carry_messages,
+        record.carry_message_bytes,
+        record.carry_peaks,
+    )
+    record.carry_history = total.history
+    record.carry_messages = total.messages
+    record.carry_message_bytes = total.message_bytes
+    record.carry_peaks = total.peak_memory_per_rank
     directory = job_dir(root, record.job_id)
     seed = directory / "seed.npz"
     os.replace(archive_path, seed)

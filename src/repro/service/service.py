@@ -59,7 +59,7 @@ from repro.backend.base import (
     resolve_backend,
 )
 from repro.core.observers import IterationEvent
-from repro.core.reconstructor import ReconstructionResult
+from repro.core.reconstructor import ReconstructionResult, fold_leg
 from repro.io.storage import ResultArchive, load_result, save_result
 from repro.obs import telemetry as _obs
 from repro.service import jobs as jobstore
@@ -781,19 +781,13 @@ class ReconstructionService:
         """The whole-job result: current state from the final leg,
         history/traffic banked across legs (additive), memory peaks as
         the high-water mark across legs."""
-        peaks = [int(p) for p in leg.peak_memory_per_rank]
-        if record.carry_peaks:
-            peaks = [max(a, b) for a, b in zip(record.carry_peaks, peaks)]
-        return ReconstructionResult(
-            volume=leg.volume,
-            history=list(record.carry_history) + list(leg.history),
-            messages=record.carry_messages + leg.messages,
-            message_bytes=record.carry_message_bytes + leg.message_bytes,
-            peak_memory_per_rank=peaks,
-            decomposition=leg.decomposition,
-            probe=leg.probe,
-            # Spans are per-leg wall-clock — only the final leg's are
-            # attached (earlier legs' live on in their checkpoints'
-            # telemetry.json, written at each settle).
-            telemetry=leg.telemetry,
+        # Spans are per-leg wall-clock — only the final leg's telemetry
+        # is attached (earlier legs' live on in their checkpoints'
+        # telemetry.json, written at each settle).
+        return fold_leg(
+            leg,
+            record.carry_history,
+            record.carry_messages,
+            record.carry_message_bytes,
+            record.carry_peaks,
         )

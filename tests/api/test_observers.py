@@ -1,4 +1,4 @@
-"""Observer/event API: event stream, checkpointing, legacy callback shim."""
+"""Observer/event API: event stream, checkpointing."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.api import (
     CheckpointPolicy,
     HistoryRecorder,
-    IterationEvent,
     ReconstructionConfig,
     reconstruct,
 )
@@ -145,53 +144,18 @@ class TestCheckpointPolicy:
             CheckpointPolicy(tmp_path, keep_last=0)
 
 
-class TestLegacyCallbackShim:
-    def test_gd_callback_warns_and_fires(self, tiny_dataset, tiny_lr):
-        calls = []
-        recon = GradientDecompositionReconstructor(
-            n_ranks=4, iterations=2, lr=tiny_lr
-        )
-        with pytest.warns(DeprecationWarning, match="observers"):
-            recon.reconstruct(
-                tiny_dataset,
-                callback=lambda it, cost, eng: calls.append((it, cost)),
-            )
-        assert [it for it, _ in calls] == [0, 1]
+class TestCallbackHookRemoved:
+    """The pre-observer ``callback=`` hook is gone, not silently ignored."""
 
-    def test_serial_callback_warns_and_fires(self, tiny_dataset, tiny_lr):
-        calls = []
-        recon = SerialReconstructor(iterations=2, lr=tiny_lr)
-        with pytest.warns(DeprecationWarning):
-            recon.reconstruct(
-                tiny_dataset, callback=lambda it, c, vol: calls.append(it)
-            )
-        assert calls == [0, 1]
-
-    def test_hve_callback_warns_and_fires(self, tiny_dataset, tiny_lr):
-        calls = []
-        recon = HaloExchangeReconstructor(n_ranks=4, iterations=2, lr=tiny_lr)
-        with pytest.warns(DeprecationWarning):
-            recon.reconstruct(
-                tiny_dataset, callback=lambda it, c, eng: calls.append(it)
-            )
-        assert calls == [0, 1]
-
-    def test_callback_and_observers_both_fire(self, tiny_dataset, tiny_lr):
-        events, calls = [], []
-        recon = SerialReconstructor(iterations=2, lr=tiny_lr)
-        with pytest.warns(DeprecationWarning):
-            recon.reconstruct(
-                tiny_dataset,
-                callback=lambda it, c, vol: calls.append(it),
-                observers=[events.append],
-            )
-        assert calls == [0, 1]
-        assert [e.iteration for e in events] == [0, 1]
-        assert all(isinstance(e, IterationEvent) for e in events)
-
-    def test_no_warning_without_callback(self, tiny_dataset, tiny_lr, recwarn):
-        recon = SerialReconstructor(iterations=1, lr=tiny_lr)
-        recon.reconstruct(tiny_dataset)
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
+    @pytest.mark.parametrize(
+        "recon",
+        [
+            GradientDecompositionReconstructor(n_ranks=2, iterations=1),
+            HaloExchangeReconstructor(n_ranks=2, iterations=1),
+            SerialReconstructor(iterations=1),
+        ],
+        ids=["gd", "hve", "serial"],
+    )
+    def test_callback_keyword_is_a_type_error(self, tiny_dataset, recon):
+        with pytest.raises(TypeError, match="callback"):
+            recon.reconstruct(tiny_dataset, callback=lambda *args: None)

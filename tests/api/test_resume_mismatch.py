@@ -10,6 +10,7 @@ import pytest
 
 from repro import reconstruct
 from repro.api import ReconstructionConfig, ResumeMismatchError
+from repro.backend.base import default_dtype_name, resolve_backend
 from repro.io import save_result
 
 
@@ -56,11 +57,13 @@ class TestFingerprint:
 
     def test_ambient_none_matches_explicit_default(self, tiny_lr):
         # backend=None resolves to the ambient default at fingerprint
-        # time, so an archive that recorded "numpy" explicitly still
-        # seeds a config that left the field ambient.
+        # time, so an archive that recorded it explicitly still seeds a
+        # config that left the field ambient.  "The ambient default" is
+        # whatever this environment resolves (REPRO_BACKEND/REPRO_DTYPE,
+        # else numpy/complex128) — not a hard-wired pair.
         ambient = gd(tiny_lr)
         explicit = ambient.with_compute(
-            backend="numpy", dtype="complex128"
+            backend=resolve_backend(None).name, dtype=default_dtype_name()
         )
         assert ambient.fingerprint() == explicit.fingerprint()
 

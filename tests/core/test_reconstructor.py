@@ -226,7 +226,7 @@ class TestResult:
             n_ranks=2, iterations=3, lr=tiny_lr
         )
         recon.reconstruct(
-            tiny_dataset, callback=lambda it, cost, eng: calls.append(it)
+            tiny_dataset, observers=[lambda ev: calls.append(ev.iteration)]
         )
         assert calls == [0, 1, 2]
 

@@ -150,18 +150,6 @@ class TestSessionBehaviour:
         assert events[-1][2] == result.messages
         np.testing.assert_array_equal(snapshots[-1], result.volume)
 
-    def test_legacy_callback_rejected_on_process_executor(
-        self, tiny_dataset, tiny_lr
-    ):
-        recon = GradientDecompositionReconstructor(
-            n_ranks=2, iterations=1, lr=tiny_lr, executor="process"
-        )
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="serial executor"):
-                recon.reconstruct(
-                    tiny_dataset, callback=lambda it, cost, eng: None
-                )
-
     def test_worker_failure_surfaces_traceback(self, tiny_dataset):
         """A worker crash must raise in the parent with the worker's
         traceback, not hang."""
