@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional
 
@@ -80,22 +80,19 @@ _FINGERPRINT_NEUTRAL_KEYS = (
     _FINGERPRINT_NEUTRAL_SOLVER_PARAMS | _FINGERPRINT_NEUTRAL_FIELDS
 )
 
-_CONFIG_KEYS = (
-    "solver",
-    "solver_params",
-    "run_params",
-    "backend",
-    "dtype",
-    "executor",
-    "runtime_workers",
-    "data_source",
-    "batch_size",
-    "prefetch",
-    "probe_modes",
-    "telemetry",
-    "scan_source",
-    "stream_policy",
-)
+#: The scalar option fields' validation, keyed on the field annotation:
+#: (accepts, what the error calls a valid value).
+_SCALAR_CHECKS = {
+    "Optional[str]": (
+        lambda v: isinstance(v, str) and bool(v),
+        "a non-empty string",
+    ),
+    "Optional[int]": (
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
+        "a positive int",
+    ),
+    "Optional[bool]": (lambda v: isinstance(v, bool), "a bool"),
+}
 
 
 def _normalize(value: Any, where: str) -> Any:
@@ -227,40 +224,14 @@ class ReconstructionConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.solver, str) or not self.solver:
             raise ValueError("solver must be a non-empty string")
-        if self.backend is not None and (
-            not isinstance(self.backend, str) or not self.backend
-        ):
-            raise ValueError("backend must be a non-empty string or None")
-        if self.executor is not None and (
-            not isinstance(self.executor, str) or not self.executor
-        ):
-            raise ValueError("executor must be a non-empty string or None")
-        if self.runtime_workers is not None and (
-            not isinstance(self.runtime_workers, int)
-            or isinstance(self.runtime_workers, bool)
-            or self.runtime_workers <= 0
-        ):
-            raise ValueError("runtime_workers must be a positive int or None")
-        if self.data_source is not None and (
-            not isinstance(self.data_source, str) or not self.data_source
-        ):
-            raise ValueError("data_source must be a non-empty string or None")
-        if self.batch_size is not None and (
-            not isinstance(self.batch_size, int)
-            or isinstance(self.batch_size, bool)
-            or self.batch_size <= 0
-        ):
-            raise ValueError("batch_size must be a positive int or None")
-        if self.prefetch is not None and not isinstance(self.prefetch, bool):
-            raise ValueError("prefetch must be a bool or None")
-        if self.probe_modes is not None and (
-            not isinstance(self.probe_modes, int)
-            or isinstance(self.probe_modes, bool)
-            or self.probe_modes <= 0
-        ):
-            raise ValueError("probe_modes must be a positive int or None")
-        if self.telemetry is not None and not isinstance(self.telemetry, bool):
-            raise ValueError("telemetry must be a bool or None")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # ``dtype`` names are the precision registry's to judge (below).
+            if value is None or f.name == "dtype" or f.type not in _SCALAR_CHECKS:
+                continue
+            accepts, valid = _SCALAR_CHECKS[f.type]
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {valid} or None")
         # Validates the name only (whether the backend is *registered/
         # available* is a run-time question, so configs written for
         # other machines stay loadable).
@@ -299,30 +270,15 @@ class ReconstructionConfig:
     # -- serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (deep-copied; safe to mutate)."""
-        return {
-            "solver": self.solver,
-            "solver_params": _normalize_mapping(self.solver_params, "solver_params"),
-            "run_params": _normalize_mapping(self.run_params, "run_params"),
-            "backend": self.backend,
-            "dtype": self.dtype,
-            "executor": self.executor,
-            "runtime_workers": self.runtime_workers,
-            "data_source": self.data_source,
-            "batch_size": self.batch_size,
-            "prefetch": self.prefetch,
-            "probe_modes": self.probe_modes,
-            "telemetry": self.telemetry,
-            "scan_source": (
-                _normalize_mapping(self.scan_source, "scan_source")
-                if self.scan_source is not None
-                else None
-            ),
-            "stream_policy": (
-                _normalize_mapping(self.stream_policy, "stream_policy")
-                if self.stream_policy is not None
-                else None
-            ),
-        }
+        out: Dict[str, Any] = {}
+        for key in _CONFIG_KEYS:
+            value = getattr(self, key)
+            out[key] = (
+                _normalize_mapping(value, key)
+                if isinstance(value, Mapping)
+                else value
+            )
+        return out
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ReconstructionConfig":
@@ -339,26 +295,11 @@ class ReconstructionConfig:
             )
         if "solver" not in payload:
             raise ValueError("config payload is missing the 'solver' key")
-        return cls(
-            solver=payload["solver"],
-            solver_params=payload.get("solver_params", {}),
-            run_params=payload.get("run_params", {}),
-            # Pre-backend/pre-runtime/pre-data archives carry none of
-            # these keys; they load as "ambient" — which resolves to
-            # the numpy/complex128/serial/in-memory/per-position
-            # reference they were produced with unless redirected.
-            backend=payload.get("backend"),
-            dtype=payload.get("dtype"),
-            executor=payload.get("executor"),
-            runtime_workers=payload.get("runtime_workers"),
-            data_source=payload.get("data_source"),
-            batch_size=payload.get("batch_size"),
-            prefetch=payload.get("prefetch"),
-            probe_modes=payload.get("probe_modes"),
-            telemetry=payload.get("telemetry"),
-            scan_source=payload.get("scan_source"),
-            stream_policy=payload.get("stream_policy"),
-        )
+        # Pre-backend/pre-runtime/pre-data archives carry none of the
+        # later keys; they load as "ambient" — which resolves to the
+        # numpy/complex128/serial/in-memory/per-position reference they
+        # were produced with unless redirected.
+        return cls(**{k: payload[k] for k in _CONFIG_KEYS if k in payload})
 
     def to_json(self, indent: int = 2) -> str:
         """JSON text form (lossless; see module docstring)."""
@@ -424,11 +365,9 @@ class ReconstructionConfig:
     def _replace(self, **updates: Any) -> "ReconstructionConfig":
         """New config with the given fields replaced (``None`` values in
         ``updates`` keep the current field — the CLI-override rule)."""
-        fields = {key: getattr(self, key) for key in _CONFIG_KEYS}
-        fields.update(
-            {k: v for k, v in updates.items() if v is not None}
+        return replace(
+            self, **{k: v for k, v in updates.items() if v is not None}
         )
-        return ReconstructionConfig(**fields)
 
     def with_solver_params(self, **updates: Any) -> "ReconstructionConfig":
         """New config with ``solver_params`` keys merged/overridden."""
@@ -506,3 +445,7 @@ class ReconstructionConfig:
         return self._replace(
             scan_source=scan_source, stream_policy=stream_policy
         )
+
+
+#: The serialized keys, in schema order — the dataclass fields.
+_CONFIG_KEYS = tuple(f.name for f in fields(ReconstructionConfig))

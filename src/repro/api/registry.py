@@ -22,6 +22,7 @@ A registered class must be constructible from a config's
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -31,6 +32,8 @@ from typing import (
     Type,
     runtime_checkable,
 )
+
+from repro.runtime.options import RunOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.config import ReconstructionConfig
@@ -133,10 +136,10 @@ def get_solver(name: str) -> Type:
 def solver_from_config(config: "ReconstructionConfig") -> Solver:
     """Instantiate the solver a config names, with its ``solver_params``.
 
-    The config's compute and runtime fields (``backend``/``dtype``, see
-    :mod:`repro.backend`; ``executor``/``runtime_workers``, see
-    :mod:`repro.runtime`) are injected as constructor parameters for
-    solvers that declare them in ``accepted_params``.  ``None`` fields
+    The config fields that are run options (the
+    :class:`~repro.runtime.options.RunOptions` names) are injected as
+    constructor parameters for solvers that declare them in
+    ``accepted_params``.  ``None`` fields
     (ambient resolution) inject nothing, so solvers without the
     parameters still run on the ambient defaults — but *pinning* a
     backend, precision or executor on a solver that cannot honour it is
@@ -145,16 +148,10 @@ def solver_from_config(config: "ReconstructionConfig") -> Solver:
     cls = get_solver(config.solver)
     params = dict(config.solver_params)
     accepted = getattr(cls, "accepted_params", frozenset())
-    for key, value in (
-        ("backend", config.backend),
-        ("dtype", config.dtype),
-        ("executor", config.executor),
-        ("runtime_workers", config.runtime_workers),
-        ("data_source", config.data_source),
-        ("batch_size", config.batch_size),
-        ("prefetch", config.prefetch),
-        ("probe_modes", config.probe_modes),
-    ):
+    for option in fields(RunOptions):
+        key = option.name
+        # ``positions`` has no config field: it is solver_params-only.
+        value = getattr(config, key, None)
         if key in params:
             # The solver_params spelling (direct class use) must not
             # contradict the config field.

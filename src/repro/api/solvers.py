@@ -35,6 +35,7 @@ from repro.core.reconstructor import (
 )
 from repro.parallel.topology import MeshLayout
 from repro.physics.dataset import PtychoDataset
+from repro.runtime.options import RunOptions
 
 __all__ = [
     "SolverAdapter",
@@ -111,17 +112,8 @@ class GradientDecompositionSolver(SolverAdapter):
             "compensate_local",
             "refine_probe",
             "probe_lr",
-            "backend",
-            "dtype",
-            "executor",
-            "runtime_workers",
-            "data_source",
-            "batch_size",
-            "prefetch",
-            "positions",
-            "probe_modes",
         }
-    )
+    ) | RunOptions.names()
 
     def _build(self, params: Dict[str, Any]) -> GradientDecompositionReconstructor:
         if "mesh" in params:
@@ -162,17 +154,8 @@ class HaloExchangeSolver(SolverAdapter):
             "halo",
             "inner_sweeps",
             "enforce_tile_constraint",
-            "backend",
-            "dtype",
-            "executor",
-            "runtime_workers",
-            "data_source",
-            "batch_size",
-            "prefetch",
-            "positions",
-            "probe_modes",
         }
-    )
+    ) | RunOptions.names()
 
     def _build(self, params: Dict[str, Any]) -> HaloExchangeReconstructor:
         if "mesh" in params:
@@ -203,11 +186,10 @@ class HaloExchangeSolver(SolverAdapter):
 class SerialSolver(SolverAdapter):
     """The single-volume correctness reference, adapted."""
 
+    #: No rank programs to place: the two placement options are refused.
     accepted_params = frozenset(
-        {"iterations", "lr", "scheme", "refine_probe", "probe_lr",
-         "backend", "dtype", "data_source", "batch_size", "prefetch",
-         "positions", "probe_modes"}
-    )
+        {"iterations", "lr", "scheme", "refine_probe", "probe_lr"}
+    ) | (RunOptions.names() - {"executor", "runtime_workers"})
 
     def _build(self, params: Dict[str, Any]) -> SerialReconstructor:
         return SerialReconstructor(**params)

@@ -28,6 +28,7 @@ history/traffic, merged snapshots, and the coverage fraction stamped on
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -140,17 +141,13 @@ def _epoch_config(
             params["lr"] = float(params["lr"]) * (
                 advertised / len(covered)
             )
-    return ReconstructionConfig(
-        solver=config.solver,
+    # ``data_source`` is already ``None`` (exclusive with ``scan_source``).
+    return replace(
+        config,
         solver_params=params,
-        backend=config.backend,
-        dtype=config.dtype,
-        executor=config.executor,
-        runtime_workers=config.runtime_workers,
-        batch_size=config.batch_size,
-        prefetch=config.prefetch,
-        probe_modes=config.probe_modes,
-        telemetry=config.telemetry,
+        run_params={},
+        scan_source=None,
+        stream_policy=None,
     )
 
 
@@ -285,7 +282,8 @@ def run_streaming(
             # The adapter proxies attribute *reads* to the inner
             # reconstructor, so the store must be planted on .inner
             # itself; open_store passes instances straight through.
-            getattr(solver, "inner", solver).data_source = store
+            inner = getattr(solver, "inner", solver)
+            inner.options = replace(inner.options, data_source=store)
             relay = _EpochRelay(
                 run_observers, bank, it_done, total, coverage_frac
             )

@@ -36,6 +36,7 @@ from repro.data.batching import resolve_positions
 from repro.parallel.topology import MeshLayout
 from repro.physics.dataset import PtychoDataset
 from repro.runtime.executor import EnginePlan
+from repro.runtime.options import RunOptions
 from repro.schedule.ops import Barrier, LocalSolve, Schedule, VoxelPaste
 
 __all__ = ["HaloExchangeReconstructor"]
@@ -66,35 +67,18 @@ class HaloExchangeReconstructor:
     enforce_tile_constraint:
         Raise :class:`ScalabilityError` in the "NA" regime (default True,
         faithful to the algorithm; disable only for diagnostics).
-    backend / dtype:
-        Compute backend and precision policy for the numeric engine
-        (see :mod:`repro.backend`); ``None`` resolves the ambient
-        defaults.
-    executor / runtime_workers:
-        Rank-program placement (see :mod:`repro.runtime`): ``"serial"``
-        in-process reference or ``"process"`` worker pool; ``None``
-        resolves ``REPRO_EXECUTOR``, else ``serial``.
-    data_source / batch_size / prefetch:
-        Measurement source and batching (see :mod:`repro.data`).  A
-        path streams each rank's (redundant, own + extra) shard lazily
-        from an on-disk store instead of pinning it in RAM — numerics
-        are unchanged.  ``batch_size`` is accepted for config
-        uniformity but is a no-op here: the local solves are sequential
-        SGD, whose semantics forbid batching within a rank (pinned by
-        the parity suite) — each rank contributes one position per
-        kernel call, and ranks sharing an engine share the call.
-    positions:
-        Restrict local solves to this scan-position subset (``None`` =
-        the full scan).  The streaming driver plans each epoch over a
-        coverage snapshot this way; the decomposition and exchange
-        pattern stay on the full scan, so a restricted run is exactly
-        the full run with the missing probes' sweeps skipped.
-    probe_modes:
-        Number of incoherent probe modes (mixed-state forward model;
-        ``None``/1 is the bit-identical scalar path).  This baseline
-        never refines the probe, so modes only enter the forward model:
-        measured intensity is matched against the incoherent sum over
-        the deterministic mode stack expanded from the dataset probe.
+    options / **option_fields:
+        The run options as one
+        :class:`~repro.runtime.options.RunOptions` (documented there)
+        and/or by keyword; keywords override ``options``.  Specific to
+        this baseline: a ``data_source`` path streams each rank's
+        *redundant* (own + extra) shard; ``batch_size`` is accepted for
+        config uniformity but is a no-op — the local solves are
+        sequential SGD, whose semantics forbid batching within a rank
+        (pinned by the parity suite); and the probe is never refined,
+        so ``probe_modes`` only enters the forward model: measured
+        intensity is matched against the incoherent sum over the
+        deterministic mode stack expanded from the dataset probe.
     """
 
     def __init__(
@@ -107,24 +91,14 @@ class HaloExchangeReconstructor:
         halo: Union[str, int] = "exact",
         inner_sweeps: int = 1,
         enforce_tile_constraint: bool = True,
-        backend: Optional[str] = None,
-        dtype: Optional[str] = None,
-        executor: Optional[str] = None,
-        runtime_workers: Optional[int] = None,
-        data_source: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        prefetch: bool = False,
-        positions: Optional[Sequence[int]] = None,
-        probe_modes: Optional[int] = None,
+        options: Optional[RunOptions] = None,
+        **option_fields,
     ) -> None:
         if iterations <= 0:
             raise ValueError("iterations must be positive")
         if inner_sweeps <= 0:
             raise ValueError("inner_sweeps must be positive")
-        if runtime_workers is not None and runtime_workers <= 0:
-            raise ValueError("runtime_workers must be positive")
-        if probe_modes is not None and probe_modes <= 0:
-            raise ValueError("probe_modes must be positive")
+        self.options = RunOptions.of(options, **option_fields)
         self.n_ranks = n_ranks
         self.mesh = mesh
         self.iterations = iterations
@@ -133,17 +107,6 @@ class HaloExchangeReconstructor:
         self.halo = halo
         self.inner_sweeps = inner_sweeps
         self.enforce_tile_constraint = enforce_tile_constraint
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.backend = backend
-        self.dtype = dtype
-        self.executor = executor
-        self.runtime_workers = runtime_workers
-        self.data_source = data_source
-        self.batch_size = batch_size
-        self.prefetch = bool(prefetch)
-        self.positions = positions
-        self.probe_modes = probe_modes
 
     # ------------------------------------------------------------------
     def decompose(self, dataset: PtychoDataset) -> Decomposition:
@@ -172,7 +135,9 @@ class HaloExchangeReconstructor:
         # the decomposition on the full scan — tile shapes and the
         # paste pattern never change — and only narrows each tile's
         # local sweep to the covered probes, in the tile's own order.
-        active = resolve_positions(self.positions, decomp.scan.n_positions)
+        active = resolve_positions(
+            self.options.positions, decomp.scan.n_positions
+        )
         member = frozenset(active) if active is not None else None
         last: Dict[int, int] = {}
         for sweep in range(self.inner_sweeps):
@@ -246,21 +211,9 @@ class HaloExchangeReconstructor:
             schedule=self.build_iteration_schedule(decomp),
             lr=self.lr,
             initial_volume=initial_volume,
-            backend=self.backend,
-            dtype=self.dtype,
-            data_source=self.data_source,
-            batch_size=self.batch_size,
-            prefetch=self.prefetch,
-            probe_modes=self.probe_modes,
+            options=self.options,
         )
-        return run_plan(
-            "hve",
-            plan,
-            self.iterations,
-            observers,
-            executor=self.executor,
-            workers=self.runtime_workers,
-        )
+        return run_plan("hve", plan, self.iterations, observers)
 
     # ------------------------------------------------------------------
     def redundancy_factor(self, decomp: Decomposition) -> float:

@@ -30,6 +30,7 @@ from repro.core.observers import Observer
 from repro.physics.dataset import PtychoDataset
 from repro.physics.probe import make_mode_stack, orthogonalize_modes
 from repro.runtime.executor import ExecutionSession
+from repro.runtime.options import RunOptions
 
 __all__ = ["SerialReconstructor"]
 
@@ -81,26 +82,16 @@ class SerialReconstructor:
         Step size (same meaning as the distributed reconstructors).
     scheme:
         ``"batch"`` or ``"sgd"`` (see module docstring).
-    backend / dtype:
-        Compute backend and precision policy (see :mod:`repro.backend`);
-        ``None`` resolves the ambient defaults.
-    data_source / batch_size / prefetch:
-        Measurement source and batching (see :mod:`repro.data`).
-        ``data_source=None`` reads the in-RAM stack (bit-identical to
-        the historical behaviour); a path streams from an on-disk store.
-        ``batch_size > 1`` runs the full-batch scheme's gradient sweep
-        ``batch_size`` probes per multislice evaluation — bit-identical
-        to per-position order.  The ``"sgd"`` scheme is inherently
-        sequential (each step changes the volume the next probe reads),
-        so it always evaluates per position.
-    positions:
-        Restrict sweeps to this scan-position subset in index order
-        (``None`` = the full scan) — how the streaming driver runs an
-        epoch over a coverage snapshot.
-    probe_modes:
-        Number of incoherent probe modes (mixed-state reconstruction;
-        ``None``/1 is the bit-identical scalar path).  ``M > 1``
-        carries an ``(M, w, w)`` stack through the sweeps; with
+    options / **option_fields:
+        The run options as one
+        :class:`~repro.runtime.options.RunOptions` (documented there)
+        and/or by keyword; keywords override ``options``.  Specific to
+        this solver: there are no rank programs to place, so an explicit
+        ``executor`` / ``runtime_workers`` is a ``TypeError``;
+        ``batch_size > 1`` batches only the ``"batch"`` scheme's
+        gradient sweep (``"sgd"`` changes the volume the next probe
+        reads, so it always evaluates per position); ``positions`` are
+        swept in index order; and with ``probe_modes > 1`` and
         ``refine_probe=True`` the per-mode gradient step is followed by
         an SVD re-orthogonalization each iteration, mirroring the
         distributed engine's ``OrthogonalizeProbe`` phase.
@@ -113,13 +104,8 @@ class SerialReconstructor:
         scheme: str = "batch",
         refine_probe: bool = False,
         probe_lr: Optional[float] = None,
-        backend: Optional[str] = None,
-        dtype: Optional[str] = None,
-        data_source: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        prefetch: bool = False,
-        positions: Optional[Sequence[int]] = None,
-        probe_modes: Optional[int] = None,
+        options: Optional[RunOptions] = None,
+        **option_fields,
     ) -> None:
         if iterations <= 0:
             raise ValueError("iterations must be positive")
@@ -127,20 +113,18 @@ class SerialReconstructor:
             raise ValueError(f"unknown scheme {scheme!r}")
         if probe_lr is not None and probe_lr <= 0:
             raise ValueError("probe_lr must be positive")
-        if probe_modes is not None and probe_modes <= 0:
-            raise ValueError("probe_modes must be positive")
+        self.options = opts = RunOptions.of(options, **option_fields)
+        if opts.executor is not None or opts.runtime_workers is not None:
+            raise TypeError(
+                "SerialReconstructor takes no executor / runtime_workers: "
+                "it has no rank programs to place"
+            )
         self.iterations = iterations
         self.lr = float(lr)
         self.scheme = scheme
         self.refine_probe = refine_probe
         self.probe_lr = probe_lr
-        self.backend = backend
-        self.dtype = dtype
-        self.data_source = data_source
-        self.batch_size = resolve_batch_size(batch_size)
-        self.prefetch = bool(prefetch)
-        self.positions = positions
-        self.probe_modes = probe_modes
+        self.batch_size = resolve_batch_size(opts.batch_size)
 
     # ------------------------------------------------------------------
     def reconstruct(
@@ -156,11 +140,12 @@ class SerialReconstructor:
         ``observers`` receive one structured
         :class:`~repro.core.observers.IterationEvent` per iteration.
         """
-        backend = resolve_backend(self.backend)
-        precision = resolve_precision(self.dtype)
+        options = self.options
+        backend = resolve_backend(options.backend)
+        precision = resolve_precision(options.dtype)
         cdtype = precision.complex_dtype
         model = dataset.multislice_model(backend=backend, dtype=precision)
-        n_modes = 1 if self.probe_modes is None else int(self.probe_modes)
+        n_modes = options.probe_modes or 1
         scalar_shape = dataset.probe.array.shape
         if n_modes > 1:
             base = (
@@ -213,13 +198,13 @@ class SerialReconstructor:
             dataset.scan, dataset.object_shape, n_ranks=1, halo="exact"
         )
         store, owns_store = open_store(
-            self.data_source, dataset=dataset, prefetch=self.prefetch
+            options.data_source, dataset=dataset, prefetch=options.prefetch
         )
         planner = BatchPlanner(self.batch_size)
         # Sweeps run in raster order over the active subset — the full
         # scan unless a positions restriction (streaming coverage
         # snapshot) narrows it.
-        active = resolve_positions(self.positions, dataset.n_probes)
+        active = resolve_positions(options.positions, dataset.n_probes)
         indices = (
             tuple(range(dataset.n_probes))
             if active is None
@@ -329,7 +314,7 @@ class SerialReconstructor:
         """The true objective ``F(V)`` of Eq. (1) for an arbitrary volume
         (used to compare convergence across algorithms on equal footing)."""
         model = dataset.multislice_model(
-            backend=self.backend, dtype=self.dtype
+            backend=self.options.backend, dtype=self.options.dtype
         )
         probe = dataset.probe.array
         total = 0.0

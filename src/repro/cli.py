@@ -372,71 +372,39 @@ def _config_from_flags(args, dataset) -> "ReconstructionConfig":
             )
     run_params = {"resume": args.resume} if args.resume is not None else {}
     from repro.backend import default_backend_name, default_dtype_name
+    from repro.data import default_batch_size
     from repro.runtime import default_executor_name
 
-    # Record the *resolved* compute/runtime configuration (flag, else
-    # ambient default) so the embedded config replays on what actually
-    # ran.  Executor fields are recorded only for solvers that take
-    # them; an explicit flag on any other solver is a hard error.
-    executor = None
-    runtime_workers = None
-    if "executor" in accepted:
-        executor = args.executor or default_executor_name()
-        runtime_workers = args.runtime_workers
-    elif args.executor is not None or args.runtime_workers is not None:
-        flag = "--executor" if args.executor is not None else "--runtime-workers"
-        raise SolverCapabilityError(
-            f"{flag} is not supported by solver {args.algorithm!r} "
-            f"(accepted parameters: {', '.join(sorted(accepted))})"
-        )
-    # Data fields follow the same rule: resolved values for solvers
-    # that stream/batch, hard errors for explicit flags elsewhere.
-    from repro.data import default_batch_size
-
-    data_source = None
-    batch_size = None
-    prefetch = None
-    if "batch_size" in accepted:
-        data_source = args.data_store
-        batch_size = (
-            args.batch_size
-            if args.batch_size is not None
-            else default_batch_size()
-        )
-        prefetch = args.prefetch
-    else:
-        for flag, value in (
-            ("--data-store", args.data_store),
-            ("--batch-size", args.batch_size),
-            ("--prefetch", args.prefetch),
-        ):
-            if value is not None:
-                raise SolverCapabilityError(
-                    f"{flag} is not supported by solver "
-                    f"{args.algorithm!r} (accepted parameters: "
-                    f"{', '.join(sorted(accepted))})"
-                )
-    probe_modes = None
-    if "probe_modes" in accepted:
-        probe_modes = args.probe_modes
-    elif args.probe_modes is not None:
-        raise SolverCapabilityError(
-            f"--probe-modes is not supported by solver "
-            f"{args.algorithm!r} (accepted parameters: "
-            f"{', '.join(sorted(accepted))})"
-        )
+    # Record the *resolved* configuration (flag, else ambient default)
+    # so the embedded config replays on what actually ran.  An option
+    # field is recorded only for solvers that accept it; an explicit
+    # flag on any other solver is a hard error (the first offending
+    # flag, in table order, is the one named).
+    options = {}
+    for key, flag, value, ambient in (
+        ("executor", "--executor", args.executor, default_executor_name),
+        ("runtime_workers", "--runtime-workers", args.runtime_workers, None),
+        ("data_source", "--data-store", args.data_store, None),
+        ("batch_size", "--batch-size", args.batch_size, default_batch_size),
+        ("prefetch", "--prefetch", args.prefetch, None),
+        ("probe_modes", "--probe-modes", args.probe_modes, None),
+    ):
+        if key in accepted:
+            if value is None and ambient is not None:
+                value = ambient()
+            options[key] = value
+        elif value is not None:
+            raise SolverCapabilityError(
+                f"{flag} is not supported by solver {args.algorithm!r} "
+                f"(accepted parameters: {', '.join(sorted(accepted))})"
+            )
     return ReconstructionConfig(
         solver=args.algorithm,
         solver_params=params,
         run_params=run_params,
         backend=args.backend or default_backend_name(),
         dtype=args.dtype or default_dtype_name(),
-        executor=executor,
-        runtime_workers=runtime_workers,
-        data_source=data_source,
-        batch_size=batch_size,
-        prefetch=prefetch,
-        probe_modes=probe_modes,
+        **options,
     )
 
 
@@ -505,32 +473,24 @@ def _cmd_reconstruct(args) -> int:
             config = ReconstructionConfig.from_json(config_text)
             if args.resume is not None:
                 config = config.with_run_params(resume=args.resume)
-            if args.backend is not None or args.dtype is not None:
-                # Like --resume, the compute flags *override* a config
-                # (replay an archived run on different hardware).
-                config = config.with_compute(
-                    backend=args.backend, dtype=args.dtype
-                )
-            if args.executor is not None or args.runtime_workers is not None:
-                config = config.with_runtime(
+            # Like --resume, the compute / runtime / data / probe flags
+            # *override* a config (replay an archived run on different
+            # hardware, under another runtime, against another store).
+            # Only ``None`` means "keep the config's value", so
+            # --no-prefetch (False) switches an archived prefetch=true off.
+            config = (
+                config.with_compute(backend=args.backend, dtype=args.dtype)
+                .with_runtime(
                     executor=args.executor,
                     runtime_workers=args.runtime_workers,
                 )
-            if (
-                args.data_store is not None
-                or args.batch_size is not None
-                or args.prefetch is not None
-            ):
-                # --no-prefetch passes False through with_data (only
-                # None means "keep the config's value"), so a replay
-                # can switch an archived prefetch=true off.
-                config = config.with_data(
+                .with_data(
                     data_source=args.data_store,
                     batch_size=args.batch_size,
                     prefetch=args.prefetch,
                 )
-            if args.probe_modes is not None:
-                config = config.with_probe(probe_modes=args.probe_modes)
+                .with_probe(probe_modes=args.probe_modes)
+            )
         else:
             config = _config_from_flags(args, dataset)
         stream_spec = _stream_spec(args)

@@ -17,10 +17,39 @@ The two algorithms differ in what gets assigned beyond that:
   the halo to cover those too — the redundant measurements and augmented
   halos that cost it memory and scalability (paper Figs. 2(d)-(e)).
 
-The decomposition also validates the **ordered-interval property** the
-forward/backward passes rely on (see DESIGN.md Sec. 3): along each mesh
-axis, extended-tile intervals must be monotonically ordered so that overlap
-accumulation is transitive along chains.
+Why the directional passes are exact (paper Sec. III)
+-----------------------------------------------------
+The accumulation passes (:mod:`repro.core.passes`) must leave every rank
+holding the *global* gradient ``G = sum_k g_k`` on its extended tile,
+where ``g_k`` is rank ``k``'s local gradient, supported on ``ext(k)``.
+Two properties of the extended tiles, built by ``_enforce_ordering`` and
+checked by ``Decomposition._validate_ordering``, make four chains of
+point-to-point messages enough:
+
+1. **Product form** — ``ext(r, c) = I_r x J_c``: the row interval depends
+   only on the mesh row, the column interval only on the mesh column.
+   The tiles covering a pixel ``(y, x)`` are then the product
+   ``{r : y in I_r} x {c : x in J_c}``, so the sum over them separates
+   into a sum down each mesh column followed by a sum along each mesh
+   row — the vertical and the horizontal passes.
+2. **Ordered intervals** — both end points of ``I_0, I_1, ...`` (and of
+   ``J_0, J_1, ...``) are non-decreasing.  For ordered intervals
+   ``A <= B <= C`` this gives the transitivity lemma ``A ∩ C ⊆ B``: the
+   mesh rows covering ``y`` form one contiguous run ``r_lo..r_hi``, and a
+   contribution never has to skip a rank to reach another that needs it.
+
+Along one chain the *forward* pass adds ``AccBuf_r`` into ``AccBuf_{r+1}``
+on ``I_r ∩ I_{r+1}``.  By induction (the lemma keeps ``y`` inside every
+intermediate overlap) rank ``r`` then holds, at ``y``, the sum over the
+covering rows ``<= r``, so ``r_hi`` holds the whole chain's sum.  The
+*backward* pass replaces instead of adding, over the same regions in
+reverse, carrying that complete value back to ``r_lo``.  After the
+vertical passes every buffer holds the column sum on its extended tile;
+the horizontal passes sum those along each row, and by product form the
+result is ``G`` restricted to ``ext(r, c)`` (tested property-based in
+``tests/core/test_passes_invariant.py``).  Exchanging with direct
+neighbours only is the special case ``I_r ∩ I_{r+2} = ∅`` — low probe
+overlap — and is wrong beyond it (paper Fig. 3(c)-(d)).
 """
 
 from __future__ import annotations
@@ -160,7 +189,7 @@ class Decomposition:
 
     def _validate_ordering(self) -> None:
         """Ordered-interval property along both mesh axes (required for
-        transitive chain accumulation — DESIGN.md Sec. 3)."""
+        transitive chain accumulation — see the module docstring)."""
         for c in range(self.mesh.cols):
             tiles = [self.tile_at(r, c) for r in range(self.mesh.rows)]
             for a, b in zip(tiles, tiles[1:]):
@@ -209,17 +238,8 @@ def _enforce_ordering(
 ) -> List[Rect]:
     """Grow extended tiles into **product form** with ordered intervals.
 
-    The directional-pass correctness proof (DESIGN.md Sec. 3) needs two
-    geometric properties of the extended tiles:
-
-    1. *product form*: the row interval of ``ext(r, c)`` depends only on
-       the mesh row ``r`` and the column interval only on ``c`` — this
-       makes every pixel's covering-tile set a product of index ranges, so
-       the vertical and horizontal passes separate exactly;
-    2. *ordering*: those per-axis intervals are monotone along the mesh,
-       making chain accumulation transitive.
-
-    With a uniform raster scan both hold automatically; tiles owning few
+    These are the two geometric properties the directional-pass proof
+    needs (module docstring).  With a uniform raster scan both hold automatically; tiles owning few
     or no probes (tiny scans, extreme meshes) can break them.  Growing an
     extension is always safe — it only enlarges buffer coverage — so we
     repair by taking per-mesh-row / per-mesh-column interval unions and

@@ -29,17 +29,12 @@ synchronous-mode runs match the serial solver bit-for-bit (tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend.base import (
-    ArrayBackend,
-    PrecisionPolicy,
-    resolve_backend,
-    resolve_precision,
-)
+from repro.backend.base import resolve_backend, resolve_precision
 import time
 
 from repro.core.decomposition import Decomposition
@@ -57,6 +52,7 @@ from repro.physics.dataset import PtychoDataset
 from repro.physics.multislice import MultisliceModel
 from repro.physics.probe import make_mode_stack, orthogonalize_modes
 from repro.runtime.executor import EnginePlan
+from repro.runtime.options import RunOptions
 from repro.schedule.ops import (
     AllReduceGradient,
     ApplyBufferUpdate,
@@ -148,13 +144,6 @@ class NumericEngine:
         ``probe_modes``; a scalar probe under ``probe_modes > 1`` is
         deterministically expanded (see
         :func:`repro.physics.probe.make_mode_stack`).
-    probe_modes:
-        Number of incoherent probe modes (mixed-state reconstruction).
-        ``None``/1 keeps the scalar ``(w, w)`` representation and is
-        bit-identical to the historical path; ``M > 1`` holds an
-        ``(M, w, w)`` stack — the forward model sums intensity over
-        modes, probe gradients/sync/updates are per-mode, and
-        :class:`OrthogonalizeProbe` ops re-orthogonalize the stack.
     refine_probe:
         Allocate per-rank probe copies + gradient buffers and accumulate
         probe gradients during compute ops (consumed by
@@ -163,14 +152,6 @@ class NumericEngine:
         Warm-start the reconstruction from a full ``(slices, rows, cols)``
         volume (each rank receives its extended-tile restriction);
         defaults to vacuum.
-    backend / dtype:
-        Compute backend and precision policy (see :mod:`repro.backend`);
-        ``None`` resolves the ambient defaults.  Every per-rank array —
-        extended-tile volume, accumulation buffers, probe copies — is
-        allocated at the policy's complex width, so the memory tracker
-        measures the width actually in use; the default
-        (``numpy``/``complex128``) is bit-identical to the historical
-        hard-wired behaviour.
     ranks:
         The subset of decomposition ranks this engine hosts (``None`` =
         all of them, the serial reference).  With a subset, the supplied
@@ -181,28 +162,27 @@ class NumericEngine:
         runtime hands the engine views into shared-memory segments.  The
         engine initializes their contents; shapes and dtypes must match
         what it would have allocated itself.
-    data_source:
-        Where measured amplitudes come from (see :mod:`repro.data`):
-        ``None``/``"memory"`` pins each rank's shard in RAM (the
-        bit-identical historical behaviour), a path opens a chunked
-        on-disk store read lazily per chunk, and a
-        :class:`~repro.data.DiffractionStore` instance is used as-is
-        (caller keeps ownership).  Stores never change numerics — only
-        where the bytes live.
-    batch_size:
-        Probes *per rank* evaluated per multislice call (``None``
-        resolves ``REPRO_BATCH_SIZE``, else 1).  More than one applies
-        only to order-independent gradient accumulation
-        (synchronous-mode ``ComputeGradients``); sequential-update ops
-        (Alg. 1 local steps, halo-exchange local solves) contribute one
-        position per rank per call because each update changes the
-        volume that rank's next position reads.  Ranks are independent
-        between communication ops, so co-hosted ranks that contribute
-        one position each share the call (see :meth:`execute`).  Every
-        setting is bit-identical to per-position execution (pinned by
-        the ``tests/data`` parity suite and ``tests/core/test_lockstep``).
-    prefetch:
-        Overlap the next chunk's I/O with compute (on-disk stores only).
+    options / **option_fields:
+        The run options as one
+        :class:`~repro.runtime.options.RunOptions` (documented there)
+        and/or by keyword; keywords override ``options``.  The engine
+        consumes six of them — ``backend``, ``dtype``, ``data_source``,
+        ``batch_size``, ``prefetch``, ``probe_modes`` (placement and
+        ``positions`` are the reconstructor's, compiled into the
+        schedule).  Every per-rank array — extended-tile volume,
+        accumulation buffers, probe copies — is allocated at the
+        precision policy's complex width, so the memory tracker measures
+        the width actually in use.  With ``probe_modes = M > 1`` the
+        forward model sums intensity over an ``(M, w, w)`` stack, probe
+        gradients/sync/updates are per-mode, and
+        :class:`OrthogonalizeProbe` ops re-orthogonalize the stack.
+        ``batch_size > 1`` applies only to order-independent gradient
+        accumulation (synchronous-mode ``ComputeGradients``); ranks are
+        independent between communication ops, so co-hosted ranks that
+        contribute one position each share the call (the lockstep
+        grouping, see :meth:`execute`).  Every setting is bit-identical
+        to per-position execution (pinned by the ``tests/data`` parity
+        suite and ``tests/core/test_lockstep``).
     """
 
     def __init__(
@@ -216,23 +196,20 @@ class NumericEngine:
         initial_probe: Optional[np.ndarray] = None,
         refine_probe: bool = False,
         initial_volume: Optional[np.ndarray] = None,
-        backend: Union[str, ArrayBackend, None] = None,
-        dtype: Union[str, PrecisionPolicy, None] = None,
         ranks: Optional[Sequence[int]] = None,
         shared_arrays: Optional[Mapping[Tuple[str, int], np.ndarray]] = None,
-        data_source: Union[str, DiffractionStore, None] = None,
-        batch_size: Optional[int] = None,
-        prefetch: bool = False,
-        probe_modes: Optional[int] = None,
+        options: Optional[RunOptions] = None,
+        **option_fields,
     ) -> None:
+        self.options = options = RunOptions.of(options, **option_fields)
         self.dataset = dataset
         self.decomp = decomp
         self.lr = float(lr)
-        self.batch_size = resolve_batch_size(batch_size)
+        self.batch_size = resolve_batch_size(options.batch_size)
         # open_store geometry-checks every source (paths, instances)
         # against the dataset.
         self.store, self._owns_store = open_store(
-            data_source, dataset=dataset, prefetch=prefetch
+            options.data_source, dataset=dataset, prefetch=options.prefetch
         )
         #: In-memory stores pin each rank's shard (the reference
         #: behaviour and its byte accounting); out-of-core stores read
@@ -259,25 +236,20 @@ class NumericEngine:
         self.memory = memory if memory is not None else MemoryTracker(decomp.n_ranks)
         self.compensate_local = compensate_local
         self.refine_probe = refine_probe
-        if probe_modes is None:
-            self.probe_modes = 1
-        else:
-            self.probe_modes = int(probe_modes)
-            if self.probe_modes < 1:
-                raise ValueError("probe_modes must be a positive integer")
-        self.backend = resolve_backend(backend)
-        self.precision = resolve_precision(dtype)
+        n_modes = options.probe_modes or 1
+        self.backend = resolve_backend(options.backend)
+        self.precision = resolve_precision(options.dtype)
         self._cdtype = self.precision.complex_dtype
         self.model: MultisliceModel = dataset.multislice_model(
             backend=self.backend, dtype=self.precision
         )
         scalar_shape = dataset.probe.array.shape
-        if self.probe_modes > 1:
-            stack_shape = (self.probe_modes,) + scalar_shape
+        if n_modes > 1:
+            stack_shape = (n_modes,) + scalar_shape
             if initial_probe is None:
                 # Deterministic expansion of the dataset probe.
                 self.probe = np.asarray(
-                    make_mode_stack(dataset.probe.array, self.probe_modes),
+                    make_mode_stack(dataset.probe.array, n_modes),
                     dtype=self._cdtype,
                 )
             elif initial_probe.shape == stack_shape:
@@ -287,7 +259,7 @@ class NumericEngine:
                 # (e.g. a single-mode archive) expands it the same
                 # deterministic way the cold start does.
                 self.probe = np.asarray(
-                    make_mode_stack(initial_probe, self.probe_modes),
+                    make_mode_stack(initial_probe, n_modes),
                     dtype=self._cdtype,
                 )
             else:
@@ -359,12 +331,15 @@ class NumericEngine:
         data_source: Union[str, DiffractionStore, None] = None,
     ) -> "NumericEngine":
         """The engine a launch ``plan`` describes — the one place plan
-        fields become engine keywords, so a knob added to
-        :class:`~repro.runtime.executor.EnginePlan` is wired here or
-        nowhere.  The keyword arguments are what placement adds: a
+        fields become engine keywords.  The plan's options are forwarded
+        whole (by identity), so a new run option needs no wiring here.
+        The keyword arguments are what placement adds: a
         worker's communicator, hosted ranks, shared-memory tile storage
         and (``None`` = the plan's) its own re-opened store handle.
         """
+        options = plan.options
+        if data_source is not None:
+            options = replace(options, data_source=data_source)
         return cls(
             plan.dataset,
             plan.decomp,
@@ -374,16 +349,9 @@ class NumericEngine:
             initial_probe=plan.initial_probe,
             refine_probe=plan.refine_probe,
             initial_volume=plan.initial_volume,
-            backend=plan.backend,
-            dtype=plan.dtype,
             ranks=ranks,
             shared_arrays=shared_arrays,
-            data_source=(
-                plan.data_source if data_source is None else data_source
-            ),
-            batch_size=plan.batch_size,
-            prefetch=plan.prefetch,
-            probe_modes=plan.probe_modes,
+            options=options,
         )
 
     # ------------------------------------------------------------------

@@ -58,9 +58,9 @@ from repro.parallel.topology import MeshLayout
 from repro.runtime.executor import (
     EnginePlan,
     ExecutionSession,
-    Executor,
     resolve_executor,
 )
+from repro.runtime.options import RunOptions
 from repro.physics.dataset import PtychoDataset
 from repro.schedule.ops import (
     ApplyBufferUpdate,
@@ -236,11 +236,9 @@ def run_plan(
     plan: EnginePlan,
     iterations: int,
     observers: Sequence[Observer] = (),
-    *,
-    executor: Union[str, Executor, None] = None,
-    workers: Optional[int] = None,
 ) -> ReconstructionResult:
-    """Launch ``plan`` on the resolved executor and run it to completion.
+    """Launch ``plan`` on the executor its options name (``None`` = the
+    ambient one) and run it to completion.
 
     A schedule-compiling solver is ``decompose`` +
     ``build_iteration_schedule`` + an :class:`EnginePlan` + this call;
@@ -248,7 +246,9 @@ def run_plan(
     recorder so worker processes trace exactly when the caller does.
     """
     plan = replace(plan, telemetry=_obs.current().enabled)
-    session = resolve_executor(executor, workers=workers).launch(plan)
+    session = resolve_executor(
+        plan.options.executor, workers=plan.options.runtime_workers
+    ).launch(plan)
     return run_session(
         solver_name, session, plan.dataset, plan.decomp, iterations, observers
     )
@@ -316,48 +316,15 @@ class GradientDecompositionReconstructor:
         per iteration (the probe is one small global array, so the
         all-reduce the paper rejects for the *volume* is the right tool
         here), and applied with step ``probe_lr``.
-    backend / dtype:
-        Compute backend name (or instance) and precision policy for the
-        numeric engine — see :mod:`repro.backend`.  ``None`` resolves
-        the ambient defaults (``numpy``/``complex128`` unless the
-        ``REPRO_BACKEND``/``REPRO_DTYPE`` environment says otherwise).
-    executor / runtime_workers:
-        *Where* the rank programs run — see :mod:`repro.runtime`.
-        ``"serial"`` hosts every rank in this process (the bit-exact
-        reference); ``"process"`` runs each rank block in its own worker
-        process with tile state in shared memory (``runtime_workers``
-        bounds the pool).  ``None`` resolves the ambient default
-        (``REPRO_EXECUTOR`` environment, else ``serial``); an explicit
-        value is never overridden by the environment.  On the numpy
-        backend the ``process`` executor reproduces the ``serial``
-        result bit-for-bit.
-    data_source / batch_size / prefetch:
-        Measurement source and batching (see :mod:`repro.data`):
-        ``None``/``"memory"`` pins each rank's measurement shard in RAM
-        (the historical behaviour, bit for bit); a path streams lazily
-        from a chunked on-disk store (``prefetch=True`` overlaps the
-        next chunk's I/O with compute).  ``batch_size`` probes *per
-        rank* run through each multislice call as one FFT batch where
-        order permits (``mode="synchronous"``); Alg. 1's per-probe
-        local updates are order-dependent within a rank, so each rank
-        contributes one position per call.  Ranks that share an engine
-        and contribute one position each share the call (see
-        :class:`~repro.core.engine.NumericEngine`).  ``None`` resolves
-        ``REPRO_BATCH_SIZE``, else 1; every setting is
-        fingerprint-identical to the per-position reference.
-    positions:
-        Restrict sweeps to this scan-position subset (``None`` = the
-        full scan).  The streaming driver plans each epoch over a
-        coverage snapshot this way; the decomposition stays on the full
-        scan, so a restricted run is exactly the full run with the
-        missing probes' gradient terms skipped.
-    probe_modes:
-        Number of incoherent probe modes (mixed-state reconstruction,
-        see :mod:`repro.physics.probe`).  ``None``/1 is the scalar path,
-        bit-identical to the historical behaviour; ``M > 1`` carries an
-        ``(M, w, w)`` mode stack through the engine and schedules an
-        :class:`OrthogonalizeProbe` pass after each probe update when
-        ``refine_probe=True``.
+    options / **option_fields:
+        The run options as one
+        :class:`~repro.runtime.options.RunOptions` (documented there)
+        and/or by keyword; keywords override ``options``.  Specific to
+        this solver: ``batch_size > 1`` batches only under
+        ``mode="synchronous"`` (Alg. 1's per-probe local updates are
+        order-dependent within a rank), and ``probe_modes > 1`` with
+        ``refine_probe=True`` schedules an :class:`OrthogonalizeProbe`
+        pass after each probe update.
     """
 
     def __init__(
@@ -373,15 +340,8 @@ class GradientDecompositionReconstructor:
         compensate_local: bool = False,
         refine_probe: bool = False,
         probe_lr: Optional[float] = None,
-        backend: Optional[str] = None,
-        dtype: Optional[str] = None,
-        executor: Optional[str] = None,
-        runtime_workers: Optional[int] = None,
-        data_source: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        prefetch: bool = False,
-        positions: Optional[Sequence[int]] = None,
-        probe_modes: Optional[int] = None,
+        options: Optional[RunOptions] = None,
+        **option_fields,
     ) -> None:
         if iterations <= 0:
             raise ValueError("iterations must be positive")
@@ -393,12 +353,7 @@ class GradientDecompositionReconstructor:
             )
         if refine_probe and probe_lr is not None and probe_lr <= 0:
             raise ValueError("probe_lr must be positive")
-        if runtime_workers is not None and runtime_workers <= 0:
-            raise ValueError("runtime_workers must be positive")
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if probe_modes is not None and probe_modes <= 0:
-            raise ValueError("probe_modes must be positive")
+        self.options = RunOptions.of(options, **option_fields)
         self.n_ranks = n_ranks
         self.mesh = mesh
         self.iterations = iterations
@@ -410,15 +365,6 @@ class GradientDecompositionReconstructor:
         self.compensate_local = compensate_local
         self.refine_probe = refine_probe
         self.probe_lr = probe_lr
-        self.backend = backend
-        self.dtype = dtype
-        self.executor = executor
-        self.runtime_workers = runtime_workers
-        self.data_source = data_source
-        self.batch_size = batch_size
-        self.prefetch = bool(prefetch)
-        self.positions = positions
-        self.probe_modes = probe_modes
 
     # ------------------------------------------------------------------
     def decompose(self, dataset: PtychoDataset) -> Decomposition:
@@ -446,7 +392,9 @@ class GradientDecompositionReconstructor:
         # each tile's sweep to the covered probes in the tile's own
         # order; the decomposition, buffer exchanges and apply steps
         # stay on the full scan.
-        active = resolve_positions(self.positions, decomp.scan.n_positions)
+        active = resolve_positions(
+            self.options.positions, decomp.scan.n_positions
+        )
         if active is not None:
             member = frozenset(active)
             probe_lists = [
@@ -485,7 +433,7 @@ class GradientDecompositionReconstructor:
                 ProbeSync(n_ranks=decomp.n_ranks),
                 deps=sorted(set(last.values())),
             )
-            multi_mode = self.probe_modes is not None and self.probe_modes > 1
+            multi_mode = (self.options.probe_modes or 1) > 1
             for rank in range(decomp.n_ranks):
                 last[rank] = schedule.add(
                     ApplyProbeUpdate(
@@ -554,18 +502,6 @@ class GradientDecompositionReconstructor:
             initial_probe=initial_probe,
             refine_probe=self.refine_probe,
             initial_volume=initial_volume,
-            backend=self.backend,
-            dtype=self.dtype,
-            data_source=self.data_source,
-            batch_size=self.batch_size,
-            prefetch=self.prefetch,
-            probe_modes=self.probe_modes,
+            options=self.options,
         )
-        return run_plan(
-            "gd",
-            plan,
-            self.iterations,
-            observers,
-            executor=self.executor,
-            workers=self.runtime_workers,
-        )
+        return run_plan("gd", plan, self.iterations, observers)

@@ -3,7 +3,7 @@
 Each module exposes a ``run_*`` function returning a structured result
 with a ``format()`` method that prints the paper's reported values next
 to this reproduction's measured/modeled values.  The benchmark suite under
-``benchmarks/`` calls these, and EXPERIMENTS.md records their output.
+``benchmarks/`` calls these.
 
 Every runner registers itself in :data:`EXPERIMENTS` (see
 :mod:`repro.experiments.registry`); the CLI's ``experiment`` subcommand

@@ -16,9 +16,8 @@ Note on Alg. 1: the experiment runs the gradient decomposition with
 ``compensate_local=True`` (buffer update excludes the locally-applied
 gradients).  Algorithm 1 *as printed* re-applies local gradients inside
 the accumulated buffer, which at practical step sizes overshoots in the
-high-overlap regime (the instability the paper itself notes in Sec. VI-F)
-— see DESIGN.md Sec. 6.  The faithful variant's seam score is also
-reported for transparency.
+high-overlap regime (the instability the paper itself notes in Sec. VI-F).
+The faithful variant's seam score is also reported for transparency.
 """
 
 from __future__ import annotations

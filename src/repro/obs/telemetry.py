@@ -4,7 +4,8 @@ The paper's headline results are *phase-timing* claims — gradient
 compute vs. halo exchange vs. synchronization (Fig. 8's Summit
 breakdown) — so the reproduction needs the same decomposition of its
 own wall time before any runtime optimisation can be argued from data
-(ROADMAP item 4).  This module provides the recording half:
+(ROADMAP north star: performance measured layer by layer).  This
+module provides the recording half:
 
 * :class:`Telemetry` — a per-run recorder of hierarchical **spans**
   (named intervals, optionally attributed to a logical rank) and

@@ -11,9 +11,9 @@ package extrapolates to Summit scale (Tables II/III, Fig. 7) by combining
   per-rank speed jitter, effective MPI bandwidth) feeding the same
   discrete-event simulation of the same schedules the numeric engine runs.
 
-Calibration constants are documented in :mod:`repro.perfmodel.machine`;
-see DESIGN.md and EXPERIMENTS.md for the fidelity contract (shape, not
-absolute numbers).
+Calibration constants are documented in :mod:`repro.perfmodel.machine`.
+The fidelity contract is the *shape* of the paper's curves (who scales,
+where the baseline stops), not absolute numbers.
 """
 
 from repro.perfmodel.machine import MachineSpec, SUMMIT

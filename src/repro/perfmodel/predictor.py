@@ -4,8 +4,7 @@ Combines the exact full-size decomposition geometry, the analytic memory
 model, and the event-simulated timing of the *actual* iteration schedules
 to regenerate the paper's Tables II/III and Fig. 7 series.
 
-Halo Voxel Exchange scalability handling (see EXPERIMENTS.md for the
-fidelity discussion):
+Halo Voxel Exchange scalability handling:
 
 The probe-location reach a tile must duplicate is
 ``halo_needed = extra_rows * step + probe_radius`` (the paper's 890 pm

@@ -13,6 +13,9 @@ parallelism it actually *runs*:
   executor pinned in a config is never overridden by the environment.
 * :class:`EnginePlan` / :class:`ExecutionSession` — the small contract
   between a reconstructor's run loop and an executor.
+* :class:`RunOptions` (:mod:`repro.runtime.options`) — the frozen run
+  options every layer carries whole: reconstructor → plan → engine →
+  worker.
 
 Minimal use::
 
@@ -45,6 +48,7 @@ from repro.runtime.executor import (
     resolve_executor,
     unregister_executor,
 )
+from repro.runtime.options import RunOptions
 from repro.runtime.process import ProcessExecutor, partition_ranks
 from repro.runtime.process_comm import (
     AggregatedCounters,
@@ -59,6 +63,7 @@ __all__ = [
     "DEFAULT_EXECUTOR_NAME",
     "UnknownExecutorError",
     "EnginePlan",
+    "RunOptions",
     "ExecutionSession",
     "Executor",
     "SerialExecutor",

@@ -2,7 +2,9 @@
 
 A reconstructor compiles one iteration to a :class:`~repro.schedule.ops.
 Schedule` and hands it — together with everything the numeric engine
-needs — to an :class:`Executor`.  The executor owns placement:
+needs, in an :class:`EnginePlan` whose run options are one
+:class:`~repro.runtime.options.RunOptions` — to an :class:`Executor`.
+The executor owns placement:
 
 * ``"serial"`` — today's path: one :class:`~repro.core.engine.
   NumericEngine` hosts every rank in-process behind a
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -42,6 +44,8 @@ from typing import (
 )
 
 import numpy as np
+
+from repro.runtime.options import RunOptions
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only; the runtime
     # package must stay importable mid-way through repro.core's own
@@ -87,9 +91,10 @@ class EnginePlan:
     """Everything a session needs to build per-rank numeric engines.
 
     One plan describes one reconstruction run; it is deliberately plain
-    (dataset + decomposition + schedule + scalar knobs) so the process
-    executor can ship it to worker processes under either the ``fork``
-    or the ``spawn`` start method.
+    (dataset + decomposition + schedule + scalars + the frozen
+    :class:`~repro.runtime.options.RunOptions`) so the process executor
+    can ship it to worker processes under either the ``fork`` or the
+    ``spawn`` start method.
     """
 
     dataset: "PtychoDataset"
@@ -100,22 +105,13 @@ class EnginePlan:
     initial_probe: Optional[np.ndarray] = None
     refine_probe: bool = False
     initial_volume: Optional[np.ndarray] = None
-    backend: Optional[str] = None
-    dtype: Optional[str] = None
-    #: Measurement source / batching (see :mod:`repro.data`).  A path
-    #: (or ``None``/``"memory"``) ships to workers, each of which opens
-    #: its own store handle; file-backed store *instances* are re-opened
-    #: per worker via ``worker_copy()`` (fork would otherwise share the
+    #: The run options, carried whole (see :class:`RunOptions`).  A
+    #: ``data_source`` path ships to workers, each of which opens its
+    #: own store handle; file-backed store *instances* are re-opened per
+    #: worker via ``worker_copy()`` (fork would otherwise share the
     #: parent's file descriptor), while the in-memory reference rides
     #: fork's page sharing (or the pickle under spawn) as-is.
-    data_source: Optional[object] = None
-    batch_size: Optional[int] = None
-    prefetch: bool = False
-    #: Incoherent probe modes (mixed-state reconstruction).  ``None``/1
-    #: keeps the scalar probe path bit-identical to the historical
-    #: behaviour; ``M > 1`` makes every engine carry an ``(M, w, w)``
-    #: mode stack.  Plain int/None so it pickles.
-    probe_modes: Optional[int] = None
+    options: RunOptions = field(default_factory=RunOptions)
     #: Record per-rank telemetry in worker processes and ship it back
     #: with each step report (set by the reconstructor from the active
     #: recorder; see :mod:`repro.obs`).  Plain bool so it pickles.

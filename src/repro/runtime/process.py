@@ -183,17 +183,17 @@ def _worker_main(
         # ran), and concurrent reads on one shared descriptor race;
         # re-open a per-worker copy.  Paths are already safe — each
         # engine opens its own handle.
-        data_source = plan.data_source
-        if isinstance(data_source, DiffractionStore):
-            data_source = data_source.worker_copy()
-            if data_source is not plan.data_source:
-                worker_store = data_source
+        source = plan.options.data_source
+        if isinstance(source, DiffractionStore):
+            reopened = source.worker_copy()
+            if reopened is not source:
+                worker_store = reopened
         engine = NumericEngine.from_plan(
             plan,
             comm=comm,
             ranks=hosted,
             shared_arrays=shared_arrays,
-            data_source=data_source,
+            data_source=worker_store,
         )
         results.put(("ready", worker_index, None))
 
@@ -264,7 +264,7 @@ class _ProcessSession(ExecutionSession):
         self._procs: List[Any] = []
         self._segments: List[shared_memory.SharedMemory] = []
 
-        precision = resolve_precision(plan.dtype)
+        precision = resolve_precision(plan.options.dtype)
         cdtype = precision.complex_dtype
         self._tile_shapes: Dict[int, Tuple[int, ...]] = {
             t.rank: (

@@ -85,8 +85,8 @@ class TestSolverInjection:
             dtype="complex64",
         )
         solver = solver_from_config(cfg)
-        assert solver.inner.backend == "threaded"
-        assert solver.inner.dtype == "complex64"
+        assert solver.inner.options.backend == "threaded"
+        assert solver.inner.options.dtype == "complex64"
 
     def test_all_builtin_adapters_accept_compute_params(self):
         from repro.api import get_solver, solver_names
@@ -142,7 +142,7 @@ class TestSolverInjection:
             "serial", solver_params={"iterations": 1, "dtype": "complex64"}
         )
         solver = solver_from_config(cfg)
-        assert solver.inner.dtype == "complex64"
+        assert solver.inner.options.dtype == "complex64"
 
 
 class TestAmbientConfigRuns:

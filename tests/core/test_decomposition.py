@@ -220,7 +220,8 @@ class TestHaloExchangeDecomposition:
 
 
 class TestOrderingInvariant:
-    """The ordered-interval property the pass proof needs (DESIGN.md 3)."""
+    """The ordered-interval property the pass proof needs (module docstring of
+    ``repro.core.decomposition``)."""
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -169,13 +169,12 @@ class TestRaggedGroups:
     def test_positions_restriction_empties_a_tile(
         self, request, small_dataset
     ):
-        recon = gd()
-        decomp = recon.decompose(small_dataset)
+        decomp = gd().decompose(small_dataset)
         emptied = decomp.tiles[1].probes
         positions = [
             i for i in range(small_dataset.n_probes) if i not in emptied
         ]
-        recon.positions = positions
+        recon = gd(positions=positions)  # options are frozen: built after
         ranks = {
             op.rank
             for op in recon.build_iteration_schedule(decomp)

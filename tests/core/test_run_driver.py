@@ -6,7 +6,9 @@ loop's contract — how often it steps, what an event carries, when a
 snapshot is taken, that the session is closed on every exit path; the
 real executors pin that gd and hve through the driver still hit the
 golden digests; and a sweep over ``dataclasses.fields(EnginePlan)`` pins
-that no plan knob is dropped on the way into the engine.
+that no plan field is dropped on the way into the engine (the run
+options travel as one object — ``tests/runtime/test_run_options.py``
+pins that it arrives by identity).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.core import GradientDecompositionReconstructor
 from repro.core.engine import NumericEngine
 from repro.core.reconstructor import run_plan
 from repro.obs import telemetry as obs
+from repro.runtime import RunOptions
 from repro.runtime.executor import (
     EnginePlan,
     ExecutionSession,
@@ -114,12 +117,13 @@ def plan(tiny_dataset):
         decomp=decomp,
         schedule=recon.build_iteration_schedule(decomp),
         lr=0.1,
+        options=RunOptions(executor="fake"),
     )
 
 
 class TestLoopContract:
     def test_steps_exactly_iterations_times(self, fake_executor, plan):
-        result = run_plan("fake-solver", plan, 5, executor="fake")
+        result = run_plan("fake-solver", plan, 5)
         (session,) = fake_executor
         assert session.steps == 5
         assert result.history == [10.0, 9.0, 8.0, 7.0, 6.0]
@@ -132,7 +136,7 @@ class TestLoopContract:
 
     def test_event_fields_match_the_session(self, fake_executor, plan):
         events = []
-        run_plan("fake-solver", plan, 3, [events.append], executor="fake")
+        run_plan("fake-solver", plan, 3, [events.append])
         assert [e.solver for e in events] == ["fake-solver"] * 3
         assert [e.iteration for e in events] == [0, 1, 2]
         assert [e.n_iterations for e in events] == [3, 3, 3]
@@ -153,7 +157,7 @@ class TestLoopContract:
             events.append(event)
             during.append(event.snapshot())
 
-        result = run_plan("fake-solver", plan, 3, [observer], executor="fake")
+        result = run_plan("fake-solver", plan, 3, [observer])
         for k, snap in enumerate(during):
             assert snap.history == result.history[: k + 1]
             assert np.all(snap.volume == k + 1)
@@ -176,15 +180,15 @@ class TestLoopContract:
             return original(self)
 
         monkeypatch.setattr(FakeSession, "volumes", counting)
-        run_plan("fake-solver", plan, 4, executor="fake")
+        run_plan("fake-solver", plan, 4)
         assert stitched == [4]  # the final result only
 
     def test_plan_telemetry_follows_the_active_recorder(
         self, fake_executor, plan
     ):
-        run_plan("fake-solver", plan, 1, executor="fake")
+        run_plan("fake-solver", plan, 1)
         with obs.activate(obs.Telemetry()) as tel:
-            run_plan("fake-solver", plan, 2, executor="fake")
+            run_plan("fake-solver", plan, 2)
         untraced, traced = fake_executor
         assert untraced.plan.telemetry is False
         assert traced.plan.telemetry is True
@@ -198,13 +202,13 @@ class TestLoopContract:
 
 class TestSessionIsAlwaysClosed:
     def test_closed_once_on_normal_return(self, fake_executor, plan):
-        run_plan("fake-solver", plan, 2, executor="fake")
+        run_plan("fake-solver", plan, 2)
         assert [s.closed for s in fake_executor] == [1]
 
     def test_closed_once_when_step_raises(self, fake_executor, plan):
         fake_executor.fail_at = 1
         with pytest.raises(RuntimeError, match="step failed"):
-            run_plan("fake-solver", plan, 3, executor="fake")
+            run_plan("fake-solver", plan, 3)
         (session,) = fake_executor
         assert (session.steps, session.closed) == (1, 1)
 
@@ -217,7 +221,7 @@ class TestSessionIsAlwaysClosed:
                 raise Interrupt
 
         with pytest.raises(Interrupt):
-            run_plan("fake-solver", plan, 5, [observer], executor="fake")
+            run_plan("fake-solver", plan, 5, [observer])
         (session,) = fake_executor
         assert (session.steps, session.closed) == (2, 1)
 
@@ -275,12 +279,14 @@ _NON_DEFAULT = {
     "initial_probe": np.ones((2, 2)),
     "refine_probe": True,
     "initial_volume": np.ones((1, 2, 2)),
-    "backend": "threaded",
-    "dtype": "complex64",
-    "data_source": "/somewhere/store.npz",
-    "batch_size": 7,
-    "prefetch": True,
-    "probe_modes": 3,
+    "options": RunOptions(
+        backend="threaded",
+        dtype="complex64",
+        data_source="/somewhere/store.npz",
+        batch_size=7,
+        prefetch=True,
+        probe_modes=3,
+    ),
 }
 
 
@@ -305,7 +311,12 @@ def test_from_plan_forwards_every_engine_field(plan, name):
 def test_from_plan_placement_keywords(plan):
     """What placement adds rides next to the plan's fields; a worker's
     re-opened store replaces the plan's source, ``None`` keeps it."""
-    stored = dataclasses.replace(plan, data_source="/plan/store.npz")
+    stored = dataclasses.replace(
+        plan,
+        options=dataclasses.replace(
+            plan.options, data_source="/plan/store.npz"
+        ),
+    )
     comm, shared = object(), {("volume", 0): np.zeros(1)}
     seen = _SpyEngine.from_plan(
         stored, comm=comm, ranks=(1,), shared_arrays=shared,
@@ -314,5 +325,5 @@ def test_from_plan_placement_keywords(plan):
     assert seen["comm"] is comm
     assert seen["ranks"] == (1,)
     assert seen["shared_arrays"] is shared
-    assert seen["data_source"] == "/worker/copy.npz"
-    assert _SpyEngine.from_plan(stored).seen["data_source"] == "/plan/store.npz"
+    assert seen["options"].data_source == "/worker/copy.npz"
+    assert _SpyEngine.from_plan(stored).seen["options"] is stored.options

@@ -153,7 +153,7 @@ class TestSessionBehaviour:
     def test_worker_failure_surfaces_traceback(self, tiny_dataset):
         """A worker crash must raise in the parent with the worker's
         traceback, not hang."""
-        from repro.runtime import ProcessExecutor
+        from repro.runtime import ProcessExecutor, RunOptions
         from repro.runtime.executor import EnginePlan
 
         recon = GradientDecompositionReconstructor(
@@ -163,7 +163,7 @@ class TestSessionBehaviour:
         schedule = recon.build_iteration_schedule(decomp)
         plan = EnginePlan(
             dataset=tiny_dataset, decomp=decomp, schedule=schedule,
-            lr=0.1, dtype="complex64",
+            lr=0.1, options=RunOptions(dtype="complex64"),
         )
         # Poison the plan so worker engine construction fails.
         plan.initial_volume = np.zeros((1, 2, 2), dtype=np.complex64)
@@ -172,7 +172,7 @@ class TestSessionBehaviour:
             executor.launch(plan)
 
     def test_closed_session_refuses_access(self, tiny_dataset, tiny_lr):
-        from repro.runtime import ProcessExecutor
+        from repro.runtime import ProcessExecutor, RunOptions
         from repro.runtime.executor import EnginePlan
 
         recon = GradientDecompositionReconstructor(

@@ -1,7 +1,8 @@
 """Rectangle geometry: unit + property-based tests.
 
-The decomposition correctness proof rests on interval arithmetic
-(DESIGN.md Sec. 3), so this module gets the heaviest property coverage.
+The decomposition correctness proof (module docstring of
+``repro.core.decomposition``) rests on interval arithmetic, so this module
+gets the heaviest property coverage.
 """
 
 import numpy as np
@@ -197,7 +198,7 @@ class TestProperties:
         st.integers(1, 10),
     )
     def test_ordered_interval_containment(self, a0, ah, g1, bh, g2, ch):
-        """The transitivity lemma of DESIGN.md Sec. 3: for ordered
+        """The transitivity lemma of the pass proof: for ordered
         intervals A <= B <= C, A intersect C is contained in B."""
         b0 = a0 + g1
         c0 = b0 + g2
