@@ -11,12 +11,15 @@ The engine is **executor-agnostic**: by default it hosts *every* rank of
 the decomposition behind an in-process
 :class:`~repro.parallel.comm.VirtualComm` (the serial reference), but a
 ``ranks=`` subset turns it into one worker's share of a real multi-process
-run — ops whose ranks are all elsewhere are skipped, point-to-point ops
-execute only their hosted side, and collectives route through the
-communicator (a :class:`~repro.runtime.process_comm.ProcessComm`, which
-sets ``is_distributed``).  ``shared_arrays=`` lets the runtime place tile
-volumes and gradient buffers in ``multiprocessing.shared_memory`` so the
-parent process can stitch and all-reduce without copying.
+run — ops whose ranks are all elsewhere are skipped and point-to-point
+ops execute only their hosted side.  Collectives are the communicator's
+in either case: an engine hosting every rank registers its own gradient
+buffers with it, a worker's
+:class:`~repro.runtime.process_comm.ProcessComm` was handed every rank's
+shared-memory view by the runtime.  ``shared_arrays=`` lets the runtime
+place tile volumes and gradient buffers in
+``multiprocessing.shared_memory`` so the parent process can stitch and
+all-reduce without copying.
 
 Gradient truncation: with fixed-width halos (the paper's memory-efficient
 configuration) a probe window can poke out of the extended tile.  The
@@ -230,7 +233,6 @@ class NumericEngine:
             if not self.hosted_ranks:
                 raise ValueError("ranks must name at least one rank")
         self._hosted_set = frozenset(self.hosted_ranks)
-        self._hosts_all = len(self.hosted_ranks) == decomp.n_ranks
         self._shared = dict(shared_arrays) if shared_arrays else {}
         self.comm = comm if comm is not None else VirtualComm(decomp.n_ranks)
         self.memory = memory if memory is not None else MemoryTracker(decomp.n_ranks)
@@ -299,6 +301,14 @@ class NumericEngine:
         self._state_by_rank: Dict[int, RankState] = {
             s.rank: s for s in self.states
         }
+        if len(self.states) == decomp.n_ranks:
+            # Hosting every rank, the engine's own buffers are all the
+            # gradient all-reduce needs (a subset host's communicator
+            # already holds every rank's shared view).
+            self.comm.register_tile_buffers(
+                {s.rank: s.accbuf for s in self.states},
+                {s.rank: s.ext.slices_in(decomp.bounds) for s in self.states},
+            )
         # The ambient recorder at construction time: engines are built
         # inside the run's activation scope (serial executor, worker
         # main), so this binds the per-run/per-worker recorder once
@@ -732,35 +742,9 @@ class NumericEngine:
 
     def _op_allreduce(self, op: AllReduceGradient) -> None:
         bounds = self.decomp.bounds
-        frame_shape = (self.n_slices, bounds.height, bounds.width)
-        if getattr(self.comm, "is_distributed", False):
-            # Cross-process path: the comm reduces over the registered
-            # shared-memory buffers in the same rank order, and records
-            # the ring-allreduce accounting event the parent replays.
-            self.comm.accbuf_allreduce(frame_shape)
-            return
-        if not self._hosts_all:  # pragma: no cover - misconfiguration
-            raise RuntimeError(
-                "AllReduceGradient on a subset-hosting engine requires a "
-                "distributed communicator"
-            )
-        total = np.zeros(frame_shape, dtype=self._cdtype)
-        for state in self.states:
-            sl = state.ext.slices_in(bounds)
-            total[:, sl[0], sl[1]] += state.accbuf
-        nbytes = int(total.nbytes)
-        for state in self.states:
-            sl = state.ext.slices_in(bounds)
-            state.accbuf[...] = total[:, sl[0], sl[1]]
-        # Ring all-reduce accounting: each rank moves 2*(P-1)/P of the
-        # buffer. (The data itself was combined in-process above.)
-        p = self.decomp.n_ranks
-        if p > 1:
-            per_rank = int(2 * (p - 1) / p * nbytes)
-            self.comm.sent_bytes += per_rank * p
-            self.comm.sent_messages += 2 * (p - 1) * p
-            self.comm.per_rank_sent_bytes += per_rank
-            self.comm.allreduce_calls += 1
+        self.comm.accbuf_allreduce(
+            (self.n_slices, bounds.height, bounds.width)
+        )
 
     def _op_apply(self, op: ApplyBufferUpdate) -> None:
         state = self._state(op.rank)
@@ -796,9 +780,9 @@ class NumericEngine:
     def _op_probe_sync(self, op: ProbeSync) -> None:
         """All-reduce the per-rank probe gradients (probe refinement).
 
-        The comm receives one contribution per *hosted* rank: the
-        ``VirtualComm`` (hosting all) sums in-process, a distributed comm
-        completes the sum across workers — both in ascending rank order.
+        The comm receives one contribution per *hosted* rank and
+        completes the sum in ascending rank order wherever the other
+        ranks live.
         """
         if not self.refine_probe:
             raise RuntimeError("ProbeSync without refine_probe=True")

@@ -1,4 +1,4 @@
-"""``VirtualComm`` — an in-process, mpi4py-shaped message layer.
+"""``VirtualComm`` — the mpi4py-shaped message layer, in-process by default.
 
 The numeric engine moves *every* inter-tile array through this layer:
 ``isend``/``irecv`` mirror ``mpi4py.MPI.Comm`` semantics (tags, Requests
@@ -9,13 +9,17 @@ Because the numeric engine executes a schedule in topological order, a
 matching send always precedes its receive; a receive that finds no matching
 message therefore indicates a schedule bug and raises :class:`CommError`
 immediately (the in-process analogue of an MPI deadlock).
+
+The class is also the base of every cross-host communicator
+(:class:`~repro.runtime.process_comm.ProcessComm`): matching and traffic
+accounting are written once here, a subclass supplies only a transport.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,13 +92,63 @@ def _payload_nbytes(payload: Any) -> int:
     return 64  # small python object envelope
 
 
-class VirtualComm:
-    """Mailbox-based communicator over ``n_ranks`` in-process ranks."""
+def _sum_in_rank_order(
+    pairs: List[Tuple[int, np.ndarray]], n_ranks: int
+) -> np.ndarray:
+    """Sum one array per rank in ascending rank order — the one summation
+    order every placement uses, which is what keeps them bit-identical."""
+    if len(pairs) != n_ranks:
+        raise CommError(
+            f"allreduce needs {n_ranks} contributions, got {len(pairs)}"
+        )
+    pairs = sorted(pairs, key=lambda rc: rc[0])
+    total = np.zeros_like(pairs[0][1])
+    for _, arr in pairs:
+        if arr.shape != total.shape:
+            raise CommError("allreduce contributions must share a shape")
+        total += arr
+    return total
 
-    def __init__(self, n_ranks: int) -> None:
+
+class VirtualComm:
+    """Mailbox-based communicator over ``n_ranks`` ranks.
+
+    ``hosted`` names the ranks this instance executes (default: all of
+    them, the in-process reference).  Matching, snapshot copies and
+    traffic counters live here and nowhere else; a subclass that hosts a
+    subset adds only a *transport*, by overriding three hooks and
+    :meth:`barrier`:
+
+    * :meth:`_post` — deliver a message to a rank hosted elsewhere;
+    * :meth:`_fetch` — move remotely posted messages into the mailbox,
+      optionally waiting for one key;
+    * :meth:`_sum_across` — complete a rank-ordered sum across hosts.
+
+    In-process nothing is remote: ``_post`` is unreachable and ``_fetch``
+    finds nothing, so an unmatched receive is still the immediate
+    :class:`CommError` the module docstring promises.  A
+    ``(src, dst, tag)`` key is local or remote for the life of a comm,
+    never both, so FIFO order per key holds on either path.
+
+    Collective traffic is booked by exactly one instance per run —
+    this one in-process, worker 0's across workers — so run totals are
+    plain sums over instances.
+    """
+
+    def __init__(
+        self, n_ranks: int, hosted: Optional[Sequence[int]] = None
+    ) -> None:
         if n_ranks <= 0:
             raise ValueError("n_ranks must be positive")
         self._n_ranks = n_ranks
+        self._hosted = tuple(
+            range(n_ranks) if hosted is None else sorted(hosted)
+        )
+        if not self._hosted:
+            raise ValueError("a communicator must host at least one rank")
+        for r in self._hosted:
+            self._check_rank(r, "hosted")
+        self._hosted_set = frozenset(self._hosted)
         self._queues: Dict[Tuple[int, int, int], Deque[Message]] = defaultdict(
             deque
         )
@@ -102,6 +156,12 @@ class VirtualComm:
         self.sent_bytes = 0
         self.per_rank_sent_bytes = np.zeros(n_ranks, dtype=np.int64)
         self.allreduce_calls = 0
+        #: Whether this instance charges collective traffic (see class doc).
+        self._books_collectives = True
+        #: rank -> (gradient buffer, its row/col slices in the frame).
+        self._tiles: Optional[
+            Dict[int, Tuple[np.ndarray, Tuple[slice, slice]]]
+        ] = None
 
     # ------------------------------------------------------------------
     def Get_size(self) -> int:
@@ -113,9 +173,24 @@ class VirtualComm:
         """Communicator size."""
         return self._n_ranks
 
+    @property
+    def hosted_ranks(self) -> Tuple[int, ...]:
+        """Ranks this instance executes, ascending."""
+        return self._hosted
+
     def _check_rank(self, rank: int, name: str) -> None:
         if not (0 <= rank < self._n_ranks):
             raise CommError(f"{name} rank {rank} out of range [0,{self._n_ranks})")
+
+    def _check_endpoints(self, src: int, dst: int, local: int, role: str) -> None:
+        """Both ranks in range, and the acting one (``local``) hosted."""
+        self._check_rank(src, "source")
+        self._check_rank(dst, "destination")
+        if local not in self._hosted_set:
+            raise CommError(
+                f"{role} rank {local} is not hosted by this communicator "
+                f"(hosted: {list(self._hosted)})"
+            )
 
     # ------------------------------------------------------------------
     # Point-to-point
@@ -125,16 +200,19 @@ class VirtualComm:
 
         Arrays are snapshot-copied so later in-place mutation at the sender
         cannot leak into the receiver — the engine must not cheat the
-        message-passing semantics.
+        message-passing semantics.  A hosted ``dst`` is served from the
+        local mailbox; only other destinations reach the transport.
         """
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
+        self._check_endpoints(src, dst, src, "sending")
         if src == dst:
             raise CommError("self-send: src == dst")
         if isinstance(payload, np.ndarray):
             payload = payload.copy()
         msg = Message(src, dst, tag, payload, _payload_nbytes(payload))
-        self._queues[(src, dst, tag)].append(msg)
+        if dst in self._hosted_set:
+            self._queues[(src, dst, tag)].append(msg)
+        else:
+            self._post(msg)
         self.sent_messages += 1
         self.sent_bytes += msg.nbytes
         self.per_rank_sent_bytes[src] += msg.nbytes
@@ -146,12 +224,12 @@ class VirtualComm:
 
     def recv(self, dst: int, src: int, tag: int = 0) -> Any:
         """Blocking receive of the oldest matching message."""
+        self._check_endpoints(src, dst, dst, "receiving")
         return self._pop_message(src, dst, tag)
 
     def irecv(self, dst: int, src: int, tag: int = 0) -> Request:
         """Non-blocking receive; completes on ``wait()``."""
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
+        self._check_endpoints(src, dst, dst, "receiving")
         return Request(comm=self, kind="recv", src=src, dst=dst, tag=tag)
 
     # ------------------------------------------------------------------
@@ -165,45 +243,106 @@ class VirtualComm:
         return
 
     def allreduce_sum(self, contributions: List[np.ndarray]) -> np.ndarray:
-        """Sum of per-rank arrays, returned to every rank (conceptually).
+        """Rank-ordered sum of one array per *hosted* rank, returned to
+        every rank (the probe-gradient collective).
 
-        The numeric engine calls this with one (aligned) array per rank;
-        byte accounting charges the ring-allreduce volume
-        ``2*(P-1)/P * nbytes`` per rank.
+        Byte accounting charges the ring-allreduce volume
+        ``2*(P-1)/P * nbytes`` per rank, whatever moved the data.
         """
-        if len(contributions) != self._n_ranks:
+        if len(contributions) != len(self._hosted):
             raise CommError(
-                f"allreduce needs {self._n_ranks} contributions, "
+                f"allreduce needs {len(self._hosted)} hosted contributions, "
                 f"got {len(contributions)}"
             )
-        total = np.zeros_like(contributions[0])
-        for arr in contributions:
-            if arr.shape != total.shape:
-                raise CommError("allreduce contributions must share a shape")
-            total += arr
-        per_rank = 2.0 * (self._n_ranks - 1) / self._n_ranks * total.nbytes
-        self.sent_bytes += int(per_rank * self._n_ranks)
-        self.sent_messages += 2 * (self._n_ranks - 1)
-        self.per_rank_sent_bytes += int(per_rank)
-        self.allreduce_calls += 1
+        total = self._sum_across(list(zip(self._hosted, contributions)))
+        if self._books_collectives:
+            p = self._n_ranks
+            share = 2.0 * (p - 1) / p * total.nbytes
+            self.sent_bytes += int(share * p)
+            self.sent_messages += 2 * (p - 1)
+            self.per_rank_sent_bytes += int(share)
+            self.allreduce_calls += 1
         return total
+
+    def register_tile_buffers(
+        self,
+        buffers: Dict[int, np.ndarray],
+        slices: Dict[int, Tuple[slice, slice]],
+    ) -> None:
+        """Register every rank's gradient buffer and its placement
+        (row/col slices) in the global frame — the substrate
+        :meth:`accbuf_allreduce` reduces over.  Buffers of ranks hosted
+        elsewhere must be views of memory their hosts write (shared
+        memory)."""
+        if set(buffers) != set(range(self._n_ranks)):
+            raise ValueError("tile buffers must cover every rank")
+        self._tiles = {r: (buffers[r], slices[r]) for r in buffers}
+
+    def accbuf_allreduce(self, frame_shape: Tuple[int, ...]) -> None:
+        """Global sum of all tile buffers scattered into ``frame_shape``;
+        each hosted buffer is overwritten with its restriction.
+
+        Summation runs in ascending rank order on every host, so every
+        placement produces the same bits.  The barriers (no-ops
+        in-process) fence the other hosts' writes and reads.
+        """
+        if self._tiles is None:
+            raise CommError("accbuf_allreduce before register_tile_buffers")
+        self.barrier()  # all ranks finished writing their buffers
+        total = np.zeros(frame_shape, dtype=self._tiles[0][0].dtype)
+        for rank in range(self._n_ranks):
+            buf, sl = self._tiles[rank]
+            total[(slice(None), *sl)] += buf
+        self.barrier()  # all hosts finished reading
+        for rank in self._hosted:
+            buf, sl = self._tiles[rank]
+            buf[...] = total[(slice(None), *sl)]
+        # Ring all-reduce accounting: each rank moves 2*(P-1)/P of the
+        # frame, in 2*(P-1) messages.
+        p = self._n_ranks
+        if p > 1 and self._books_collectives:
+            share = int(2 * (p - 1) / p * total.nbytes)
+            self.sent_bytes += share * p
+            self.sent_messages += 2 * (p - 1) * p
+            self.per_rank_sent_bytes += share
+            self.allreduce_calls += 1
+
+    # ------------------------------------------------------------------
+    # Transport hooks (see class doc)
+    # ------------------------------------------------------------------
+    def _post(self, msg: Message) -> None:
+        raise CommError(
+            f"no transport to rank {msg.dst}: an in-process communicator "
+            "hosts every rank"
+        )
+
+    def _fetch(
+        self, dst: int, wait_for: Optional[Tuple[int, int, int]] = None
+    ) -> bool:
+        """Returns whether anything (``wait_for``, when given) arrived."""
+        return False
+
+    def _sum_across(self, pairs: List[Tuple[int, np.ndarray]]) -> np.ndarray:
+        return _sum_in_rank_order(pairs, self._n_ranks)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _has_message(self, src: int, dst: int, tag: int) -> bool:
+        self._fetch(dst)
         return bool(self._queues.get((src, dst, tag)))
 
     def _pop_message(self, src: int, dst: int, tag: int) -> Any:
-        queue = self._queues.get((src, dst, tag))
-        if not queue:
-            raise CommError(
-                f"receive with no matching message: src={src} dst={dst} "
-                f"tag={tag} (schedule ordering bug?)"
-            )
-        return queue.popleft().payload
+        key = (src, dst, tag)
+        while not self._queues.get(key):
+            if not self._fetch(dst, key):
+                raise CommError(
+                    f"receive with no matching message: src={src} dst={dst} "
+                    f"tag={tag} (schedule ordering bug?)"
+                )
+        return self._queues[key].popleft().payload
 
     def pending_messages(self) -> int:
-        """Messages sent but not yet received (should be zero at the end of
-        a well-formed schedule — asserted in tests)."""
+        """Messages buffered here but not yet received (should be zero at
+        the end of a well-formed schedule — asserted in tests)."""
         return sum(len(q) for q in self._queues.values())

@@ -50,13 +50,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.options import RunOptions
 from repro.runtime.process import ProcessExecutor, partition_ranks
-from repro.runtime.process_comm import (
-    AggregatedCounters,
-    CommChannels,
-    CounterSnapshot,
-    ProcessComm,
-    aggregate_counters,
-)
+from repro.runtime.process_comm import CommChannels, ProcessComm
 
 __all__ = [
     "ENV_EXECUTOR",
@@ -70,9 +64,6 @@ __all__ = [
     "ProcessExecutor",
     "ProcessComm",
     "CommChannels",
-    "CounterSnapshot",
-    "AggregatedCounters",
-    "aggregate_counters",
     "partition_ranks",
     "register_executor",
     "unregister_executor",

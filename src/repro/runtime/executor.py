@@ -10,11 +10,13 @@ The executor owns placement:
   NumericEngine` hosts every rank in-process behind a
   :class:`~repro.parallel.comm.VirtualComm` (bit-exact, zero overhead,
   the correctness reference);
-* ``"process"`` — :class:`~repro.runtime.process.ProcessExecutor`: each
-  :class:`~repro.core.decomposition.RankTile` runs in a worker process,
-  tile volumes and gradient buffers live in
-  ``multiprocessing.shared_memory``, and boundary messages travel
-  through a :class:`~repro.runtime.process_comm.ProcessComm`.
+* ``"process"`` — :class:`~repro.runtime.process.ProcessExecutor`:
+  contiguous blocks of :class:`~repro.core.decomposition.RankTile` run
+  in worker processes, tile volumes and gradient buffers live in
+  ``multiprocessing.shared_memory``, and each worker's communicator is
+  the same ``VirtualComm`` with a transport added
+  (:class:`~repro.runtime.process_comm.ProcessComm`) — only messages
+  between ranks of *different* workers leave a process.
 
 Executors register under a short name with :func:`register_executor`
 (mirroring the solver and backend registries), and ambient resolution

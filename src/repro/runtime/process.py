@@ -14,17 +14,20 @@ arrays), the gradient all-reduce is a barrier-bracketed rank-ordered
 reduction over the shared buffers, and the parent stitches final volumes
 straight out of shared memory — no result pickling.
 
-Messaging: halo/boundary traffic moves through a
-:class:`~repro.runtime.process_comm.ProcessComm` per worker (one inbox
-queue per rank), with the same matching semantics and byte accounting as
-the serial :class:`~repro.parallel.comm.VirtualComm`.
+Messaging: each worker's communicator is a
+:class:`~repro.runtime.process_comm.ProcessComm` — the serial
+:class:`~repro.parallel.comm.VirtualComm` plus a transport.  A message
+between two ranks of one worker stays in that worker's mailbox; only a
+message to a rank hosted elsewhere is pickled onto that rank's inbox
+queue.  Matching and byte accounting are the inherited ones.
 
 Choreography: workers initialize, report readiness, then step one
 iteration per parent command and block — so between iterations the
-parent can safely read shared volumes (observer snapshots) and aggregate
-counters.  Costs are reported per rank and summed parent-side in rank
-order, which keeps the whole run — volumes, history, traffic counts —
-fingerprint-identical to the serial executor on the numpy backend.
+parent can safely read shared volumes (observer snapshots) and sum the
+workers' traffic counters.  Costs are reported per rank and summed
+parent-side in rank order, which keeps the whole run — volumes, history,
+traffic counts — fingerprint-identical to the serial executor on the
+numpy backend.
 """
 
 from __future__ import annotations
@@ -49,12 +52,7 @@ from repro.runtime.executor import (
     Executor,
     register_executor,
 )
-from repro.runtime.process_comm import (
-    CommChannels,
-    CounterSnapshot,
-    ProcessComm,
-    aggregate_counters,
-)
+from repro.runtime.process_comm import CommChannels, ProcessComm
 
 __all__ = ["ProcessExecutor", "partition_ranks"]
 
@@ -204,15 +202,15 @@ def _worker_main(
             engine.execute(plan.schedule)
             report = {
                 "costs": engine.iteration_costs(),
-                "counters": comm.counters_snapshot(),
+                "messages": comm.sent_messages,
+                "message_bytes": int(comm.sent_bytes),
                 "peaks": {
                     r: engine.memory.peak_bytes(r) for r in hosted
                 },
                 "probe": engine.current_probe(),
             }
             if tel.enabled:
-                # Piggyback this step's spans/counters on the report —
-                # the same seam the comm's event accounting rides.
+                # Piggyback this step's spans/counters on the report.
                 report["obs"] = tel.drain()
             results.put(("iter", worker_index, report))
     except BaseException:
@@ -333,9 +331,8 @@ class _ProcessSession(ExecutionSession):
                     proc.start()
                     self._procs.append(proc)
 
-            self._snapshots: List[CounterSnapshot] = [
-                CounterSnapshot() for _ in range(n_workers)
-            ]
+            self._messages = 0
+            self._message_bytes = 0
             self._peaks: Dict[int, int] = {
                 r: 0 for r in range(self._n_ranks)
             }
@@ -402,9 +399,12 @@ class _ProcessSession(ExecutionSession):
                 "runtime.collect.seconds": time.perf_counter() - t0,
             })
         costs: Dict[int, float] = {}
-        for w, report in enumerate(reports):
+        # Worker counters are cumulative and collectives are booked by
+        # worker 0 alone, so the run totals are plain sums.
+        self._messages = sum(r["messages"] for r in reports)
+        self._message_bytes = sum(r["message_bytes"] for r in reports)
+        for report in reports:
             costs.update(report["costs"])
-            self._snapshots[w] = report["counters"]
             self._peaks.update(report["peaks"])
             if report["probe"] is not None:
                 self._probe = report["probe"]
@@ -427,24 +427,16 @@ class _ProcessSession(ExecutionSession):
         return self._probe.copy()
 
     @property
-    def _aggregated(self):
-        return aggregate_counters(self._snapshots, self._n_ranks)
-
-    @property
     def messages(self) -> int:
-        return self._aggregated.sent_messages
+        return self._messages
 
     @property
     def message_bytes(self) -> int:
-        return int(self._aggregated.sent_bytes)
+        return self._message_bytes
 
     @property
     def per_rank_peaks(self) -> List[int]:
         return [self._peaks[r] for r in range(self._n_ranks)]
-
-    @property
-    def allreduce_calls(self) -> int:
-        return self._aggregated.allreduce_calls
 
     # ------------------------------------------------------------------
     def close(self) -> None:

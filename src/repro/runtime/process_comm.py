@@ -1,63 +1,48 @@
-"""``ProcessComm`` — the cross-process sibling of ``VirtualComm``.
+"""``ProcessComm`` — ``VirtualComm`` plus a cross-worker transport.
 
 One instance lives in each worker process and carries that worker's
-hosted ranks.  The surface is the one the numeric engine already speaks
-(``send``/``recv``/``isend``/``irecv`` with tags, ``Request`` handles,
-``allreduce_sum``, ``barrier``), so the engine is executor-agnostic: the
-same op handlers run against a :class:`~repro.parallel.comm.VirtualComm`
-in-process or a ``ProcessComm`` across workers.
+hosted ranks.  Matching, snapshot copies, rank checks and every traffic
+counter are inherited from :class:`~repro.parallel.comm.VirtualComm`;
+this module only moves what has to leave the process.
 
 Transport
 ---------
-* **Point-to-point** — one multiprocessing queue per *rank* (its inbox).
-  A receive drains its rank's inbox into a local mailbox keyed
-  ``(src, dst, tag)`` and pops FIFO per key — exactly ``VirtualComm``'s
-  matching rule, so message order is deterministic per key regardless of
-  arrival interleaving.  A receive that sees no matching message within
-  ``timeout`` raises :class:`~repro.parallel.comm.CommError` (the
-  cross-process analogue of ``VirtualComm``'s immediate unmatched-receive
-  error).
-* **Tile-buffer all-reduce** — gradient buffers live in shared memory
-  (registered at worker start-up via :meth:`register_tile_buffers`), so
-  :meth:`accbuf_allreduce` is two barriers around a deterministic
-  rank-ordered summation: every worker reads all buffers, then writes
-  only its own ranks' restrictions.  Bit-identical to the serial
-  engine's inline path because the summation order is the same.
+* **Point-to-point** — a message whose destination is hosted here goes
+  into the inherited mailbox and never touches a queue.  Any other
+  destination gets it on its rank's *inbox* (one multiprocessing queue
+  per rank); a receive drains the inbox into the mailbox and pops FIFO
+  per ``(src, dst, tag)``, so order is deterministic per key regardless
+  of arrival interleaving.  A receive that sees no matching message
+  within ``timeout`` raises :class:`~repro.parallel.comm.CommError` (the
+  cross-process analogue of the immediate unmatched-receive error).
+* **Tile-buffer all-reduce** — inherited; the registered buffers are
+  shared-memory views and :meth:`ProcessComm.barrier` is a real one.
 * **Probe all-reduce** — small global arrays go through an *uncounted*
   gather-to-root/broadcast channel; root sums in rank order.
 
 Accounting
 ----------
-Per-worker counters mirror ``VirtualComm``: p2p sends count messages and
-payload bytes locally; collectives record *events* (kind + byte size)
-on the root worker only.  The parent aggregates worker snapshots and
-replays the exact ``VirtualComm``/engine arithmetic per event (see
-:func:`aggregate_counters`), so a ``process`` run reports the same
-message and byte totals as the ``serial`` run it mirrors.
+Inherited.  Point-to-point sends are counted by the sending worker,
+collectives by worker 0 alone, so the parent's run totals are plain sums
+over workers and equal the serial run's to the integer.
 """
 
 from __future__ import annotations
 
 import queue as queue_mod
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel.comm import CommError, Message, Request, _payload_nbytes
+from repro.parallel.comm import (
+    CommError,
+    Message,
+    VirtualComm,
+    _sum_in_rank_order,
+)
 
-__all__ = [
-    "CommChannels",
-    "ProcessComm",
-    "CounterSnapshot",
-    "AggregatedCounters",
-    "aggregate_counters",
-]
-
-#: Collective event kinds (see ``aggregate_counters``).
-EVENT_VOLUME_ALLREDUCE = "volume_allreduce"
-EVENT_PROBE_ALLREDUCE = "probe_allreduce"
+__all__ = ["CommChannels", "ProcessComm"]
 
 
 @dataclass
@@ -76,83 +61,7 @@ class CommChannels:
     n_workers: int
 
 
-@dataclass
-class CounterSnapshot:
-    """One worker's cumulative traffic counters, shipped to the parent.
-
-    Collectives are pre-aggregated as ``(kind, nbytes, count)`` triples
-    (root worker only) — one entry per distinct call signature, not per
-    call, so snapshot size and replay cost stay constant over a run of
-    any length.
-    """
-
-    sent_messages: int = 0
-    sent_bytes: int = 0
-    per_rank_sent_bytes: Dict[int, int] = field(default_factory=dict)
-    events: List[Tuple[str, int, int]] = field(default_factory=list)
-
-
-@dataclass
-class AggregatedCounters:
-    """Cluster-wide view assembled from worker snapshots; attribute
-    names match ``VirtualComm`` so result assembly is comm-agnostic."""
-
-    sent_messages: int
-    sent_bytes: int
-    per_rank_sent_bytes: np.ndarray
-    allreduce_calls: int
-
-
-def aggregate_counters(
-    snapshots: Sequence[CounterSnapshot], n_ranks: int
-) -> AggregatedCounters:
-    """Combine worker snapshots into ``VirtualComm``-equivalent totals.
-
-    P2p counters sum exactly (they are per-message integers).  Collective
-    events are replayed with the *same arithmetic* the serial path uses,
-    once per distinct ``(kind, nbytes)`` signature and scaled by its call
-    count (exact, because the per-call accounting is integer):
-
-    * ``volume_allreduce`` — the engine's inline ring accounting:
-      ``per_rank = int(2(P-1)/P · nbytes)``, ``bytes += per_rank·P``,
-      ``messages += 2(P-1)·P``;
-    * ``probe_allreduce`` — ``VirtualComm.allreduce_sum``'s accounting:
-      ``bytes += int(2(P-1)/P · nbytes · P)``, ``messages += 2(P-1)``.
-    """
-    messages = 0
-    total_bytes = 0
-    per_rank = np.zeros(n_ranks, dtype=np.int64)
-    allreduce_calls = 0
-    for snap in snapshots:
-        messages += snap.sent_messages
-        total_bytes += snap.sent_bytes
-        for rank, nbytes in snap.per_rank_sent_bytes.items():
-            per_rank[rank] += nbytes
-        for kind, nbytes, count in snap.events:
-            p = n_ranks
-            if kind == EVENT_VOLUME_ALLREDUCE:
-                share = int(2 * (p - 1) / p * nbytes)
-                total_bytes += share * p * count
-                messages += 2 * (p - 1) * p * count
-                per_rank += share * count
-                allreduce_calls += count
-            elif kind == EVENT_PROBE_ALLREDUCE:
-                share = 2.0 * (p - 1) / p * nbytes
-                total_bytes += int(share * p) * count
-                messages += 2 * (p - 1) * count
-                per_rank += int(share) * count
-                allreduce_calls += count
-            else:  # pragma: no cover - future collective kinds
-                raise ValueError(f"unknown collective event {kind!r}")
-    return AggregatedCounters(
-        sent_messages=messages,
-        sent_bytes=total_bytes,
-        per_rank_sent_bytes=per_rank,
-        allreduce_calls=allreduce_calls,
-    )
-
-
-class ProcessComm:
+class ProcessComm(VirtualComm):
     """Worker-side communicator over ``n_ranks`` ranks split across
     processes (see module docstring).
 
@@ -161,19 +70,16 @@ class ProcessComm:
     n_ranks:
         Communicator size (all ranks, across every worker).
     hosted:
-        The ranks this worker executes, ascending.
+        The ranks this worker executes.
     worker_index:
-        This worker's index; worker 0 roots the collective channel.
+        This worker's index; worker 0 roots the collective channel and
+        books collective traffic.
     channels:
         The shared transport (queues + barrier) built by the parent.
     timeout:
         Seconds a receive/collective/barrier waits before declaring the
         schedule deadlocked and raising :class:`CommError`.
     """
-
-    #: Engines route collectives through the comm when this is set
-    #: (the serial ``VirtualComm`` keeps the inline path).
-    is_distributed = True
 
     def __init__(
         self,
@@ -183,145 +89,43 @@ class ProcessComm:
         channels: CommChannels,
         timeout: float = 120.0,
     ) -> None:
-        if n_ranks <= 0:
-            raise ValueError("n_ranks must be positive")
-        self._n_ranks = n_ranks
-        self._hosted = tuple(sorted(hosted))
-        if not self._hosted:
-            raise ValueError("a worker must host at least one rank")
-        for r in self._hosted:
-            self._check_rank(r, "hosted")
+        super().__init__(n_ranks, hosted)
         self._worker_index = worker_index
         self._channels = channels
         self._timeout = float(timeout)
-        self._mailbox: Dict[Tuple[int, int, int], Deque[Message]] = (
-            defaultdict(deque)
-        )
-        self.sent_messages = 0
-        self.sent_bytes = 0
-        self.per_rank_sent_bytes = np.zeros(n_ranks, dtype=np.int64)
-        self.allreduce_calls = 0
-        #: (kind, nbytes) -> cumulative call count; root worker only.
-        self._events: Dict[Tuple[str, int], int] = {}
-        self._tile_buffers: Optional[Dict[int, np.ndarray]] = None
-        self._tile_slices: Optional[Dict[int, Tuple[slice, slice]]] = None
+        self._books_collectives = worker_index == 0
 
-    # ------------------------------------------------------------------
-    def Get_size(self) -> int:
-        """Communicator size (mpi4py spelling)."""
-        return self._n_ranks
+    def _post(self, msg: Message) -> None:
+        self._channels.inboxes[msg.dst].put(msg)
 
-    @property
-    def n_ranks(self) -> int:
-        """Communicator size."""
-        return self._n_ranks
+    def _fetch(
+        self, dst: int, wait_for: Optional[Tuple[int, int, int]] = None
+    ) -> bool:
+        """Move ``dst``'s queued inbox messages into the mailbox.
 
-    @property
-    def hosted_ranks(self) -> Tuple[int, ...]:
-        """Ranks this worker executes."""
-        return self._hosted
-
-    def _check_rank(self, rank: int, name: str) -> None:
-        if not (0 <= rank < self._n_ranks):
-            raise CommError(
-                f"{name} rank {rank} out of range [0,{self._n_ranks})"
-            )
-
-    def _check_hosted(self, rank: int, role: str) -> None:
-        if rank not in self._hosted:
-            raise CommError(
-                f"{role} rank {rank} is not hosted by this worker "
-                f"(hosted: {list(self._hosted)})"
-            )
-
-    # ------------------------------------------------------------------
-    # Point-to-point
-    # ------------------------------------------------------------------
-    def send(self, payload: Any, src: int, dst: int, tag: int = 0) -> None:
-        """Buffered send from a hosted ``src`` to any ``dst``'s inbox.
-
-        Arrays are snapshot-copied before enqueueing, mirroring
-        ``VirtualComm`` — later in-place mutation at the sender cannot
-        leak into the receiver.
-        """
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        self._check_hosted(src, "sending")
-        if src == dst:
-            raise CommError("self-send: src == dst")
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()
-        msg = Message(src, dst, tag, payload, _payload_nbytes(payload))
-        self._channels.inboxes[dst].put(msg)
-        self.sent_messages += 1
-        self.sent_bytes += msg.nbytes
-        self.per_rank_sent_bytes[src] += msg.nbytes
-
-    def isend(self, payload: Any, src: int, dst: int, tag: int = 0) -> Request:
-        """Non-blocking send; the returned request's ``wait`` is a no-op."""
-        self.send(payload, src, dst, tag)
-        return Request(comm=self, kind="send", src=src, dst=dst, tag=tag)
-
-    def recv(self, dst: int, src: int, tag: int = 0) -> Any:
-        """Blocking receive of the oldest matching message."""
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        self._check_hosted(dst, "receiving")
-        return self._pop_message(src, dst, tag)
-
-    def irecv(self, dst: int, src: int, tag: int = 0) -> Request:
-        """Non-blocking receive; completes on ``wait()``."""
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        self._check_hosted(dst, "receiving")
-        return Request(comm=self, kind="recv", src=src, dst=dst, tag=tag)
-
-    # -- Request plumbing (same contract as VirtualComm) ---------------
-    def _drain(self, dst: int, block_for: Optional[Tuple[int, int, int]]) -> bool:
-        """Move queued inbox messages into the mailbox.
-
-        With ``block_for`` set, waits up to the timeout for a message
-        matching that key and returns whether it arrived; otherwise
-        drains whatever is immediately available.
+        With ``wait_for`` set, waits up to the timeout for a message
+        with that key; otherwise takes whatever is immediately there.
         """
         inbox = self._channels.inboxes[dst]
         while True:
             try:
                 msg = inbox.get(
-                    block=block_for is not None, timeout=self._timeout
+                    block=wait_for is not None, timeout=self._timeout
                 )
             except queue_mod.Empty:
-                return False
-            key = (msg.src, msg.dst, msg.tag)
-            self._mailbox[key].append(msg)
-            if block_for is not None and key == block_for:
-                return True
-            if block_for is None and inbox.empty():
-                return True
-
-    def _pop_message(self, src: int, dst: int, tag: int) -> Any:
-        key = (src, dst, tag)
-        while not self._mailbox.get(key):
-            if not self._drain(dst, block_for=key):
+                if wait_for is None:
+                    return False
+                src, _, tag = wait_for
                 raise CommError(
                     f"receive with no matching message after "
                     f"{self._timeout:g}s: src={src} dst={dst} tag={tag} "
                     f"(schedule ordering bug or dead peer?)"
-                )
-        return self._mailbox[key].popleft().payload
+                ) from None
+            key = (msg.src, msg.dst, msg.tag)
+            self._queues[key].append(msg)
+            if key == wait_for or (wait_for is None and inbox.empty()):
+                return True
 
-    def _has_message(self, src: int, dst: int, tag: int) -> bool:
-        if dst in self._hosted:
-            self._drain(dst, block_for=None)
-        return bool(self._mailbox.get((src, dst, tag)))
-
-    def pending_messages(self) -> int:
-        """Locally buffered (received-but-unmatched) messages."""
-        return sum(len(q) for q in self._mailbox.values())
-
-    # ------------------------------------------------------------------
-    # Collectives
-    # ------------------------------------------------------------------
     def barrier(self) -> None:
         """Block until every worker arrives."""
         try:
@@ -329,64 +133,9 @@ class ProcessComm:
         except Exception as exc:  # BrokenBarrierError and friends
             raise CommError(f"barrier failed: {exc!r}") from exc
 
-    def register_tile_buffers(
-        self,
-        buffers: Dict[int, np.ndarray],
-        slices: Dict[int, Tuple[slice, slice]],
-    ) -> None:
-        """Register every rank's shared gradient buffer and its placement
-        (row/col slices) in the global frame — the substrate
-        :meth:`accbuf_allreduce` reduces over."""
-        if set(buffers) != set(range(self._n_ranks)):
-            raise ValueError("tile buffers must cover every rank")
-        self._tile_buffers = dict(buffers)
-        self._tile_slices = dict(slices)
-
-    def accbuf_allreduce(self, frame_shape: Tuple[int, ...]) -> None:
-        """Global sum of all tile buffers scattered into ``frame_shape``;
-        each hosted buffer is overwritten with its restriction.
-
-        Summation runs in ascending rank order on every worker — the
-        exact order of the serial engine's inline path — so results are
-        bit-identical to a serial run.
-        """
-        if self._tile_buffers is None or self._tile_slices is None:
-            raise CommError(
-                "accbuf_allreduce before register_tile_buffers"
-            )
-        self.barrier()  # all ranks finished writing their buffers
-        total = np.zeros(
-            frame_shape, dtype=self._tile_buffers[0].dtype
-        )
-        for rank in range(self._n_ranks):
-            sl = self._tile_slices[rank]
-            total[(slice(None), *sl)] += self._tile_buffers[rank]
-        self.barrier()  # all workers finished reading
-        for rank in self._hosted:
-            sl = self._tile_slices[rank]
-            self._tile_buffers[rank][...] = total[(slice(None), *sl)]
-        if self._n_ranks > 1:
-            self.allreduce_calls += 1
-            if self._worker_index == 0:
-                self._record_event(EVENT_VOLUME_ALLREDUCE, int(total.nbytes))
-
-    def allreduce_sum(self, contributions: List[np.ndarray]) -> np.ndarray:
-        """Rank-ordered global sum of one array per *hosted* rank,
-        returned to every worker (the probe-gradient collective).
-
-        Data moves over the uncounted gather/broadcast channel; traffic
-        is accounted as one ring all-reduce event, exactly as
-        ``VirtualComm.allreduce_sum`` charges it.
-        """
-        if len(contributions) != len(self._hosted):
-            raise CommError(
-                f"allreduce needs {len(self._hosted)} hosted "
-                f"contributions, got {len(contributions)}"
-            )
-        local = list(zip(self._hosted, contributions))
+    def _sum_across(self, pairs: List[Tuple[int, np.ndarray]]) -> np.ndarray:
         ch = self._channels
         if self._worker_index == 0:
-            pairs = list(local)
             for _ in range(ch.n_workers - 1):
                 try:
                     pairs.extend(ch.gather.get(timeout=self._timeout))
@@ -394,53 +143,14 @@ class ProcessComm:
                     raise CommError(
                         "allreduce gather timed out (dead worker?)"
                     ) from None
-            pairs.sort(key=lambda rc: rc[0])
-            if len(pairs) != self._n_ranks:
-                raise CommError(
-                    f"allreduce needs {self._n_ranks} contributions, "
-                    f"got {len(pairs)}"
-                )
-            total = np.zeros_like(pairs[0][1])
-            for _, arr in pairs:
-                if arr.shape != total.shape:
-                    raise CommError(
-                        "allreduce contributions must share a shape"
-                    )
-                total += arr
+            total = _sum_in_rank_order(pairs, self._n_ranks)
             for w in range(1, ch.n_workers):
                 ch.bcast[w].put(total)
-            self._record_event(EVENT_PROBE_ALLREDUCE, int(total.nbytes))
-        else:
-            ch.gather.put([(r, np.asarray(a).copy()) for r, a in local])
-            try:
-                total = ch.bcast[self._worker_index].get(
-                    timeout=self._timeout
-                )
-            except queue_mod.Empty:
-                raise CommError(
-                    "allreduce broadcast timed out (dead root?)"
-                ) from None
-        self.allreduce_calls += 1
-        return total
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def _record_event(self, kind: str, nbytes: int) -> None:
-        key = (kind, nbytes)
-        self._events[key] = self._events.get(key, 0) + 1
-
-    def counters_snapshot(self) -> CounterSnapshot:
-        """Cumulative counters for the parent-side aggregation — constant
-        size regardless of how many iterations have run."""
-        return CounterSnapshot(
-            sent_messages=self.sent_messages,
-            sent_bytes=int(self.sent_bytes),
-            per_rank_sent_bytes={
-                r: int(self.per_rank_sent_bytes[r]) for r in self._hosted
-            },
-            events=[
-                (kind, nbytes, count)
-                for (kind, nbytes), count in self._events.items()
-            ],
-        )
+            return total
+        ch.gather.put([(r, np.asarray(a).copy()) for r, a in pairs])
+        try:
+            return ch.bcast[self._worker_index].get(timeout=self._timeout)
+        except queue_mod.Empty:
+            raise CommError(
+                "allreduce broadcast timed out (dead root?)"
+            ) from None

@@ -61,6 +61,8 @@ class TestPointToPoint:
             comm.send(np.zeros(1), 0, 4)
         with pytest.raises(CommError):
             comm.send(np.zeros(1), -1, 1)
+        with pytest.raises(CommError, match="out of range"):
+            comm.recv(9, 0)
 
 
 class TestNonBlocking:

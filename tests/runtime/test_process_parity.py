@@ -14,15 +14,16 @@ import pytest
 
 from repro.baseline.halo_exchange import HaloExchangeReconstructor
 from repro.core.reconstructor import GradientDecompositionReconstructor
+from repro.runtime import ProcessExecutor
 
 
-def _pair(ds, serial_kwargs, **process_extra):
+def _pair(ds, serial_kwargs, executor="process", **process_extra):
     """Run the same configuration under both executors."""
     r_serial = GradientDecompositionReconstructor(
         executor="serial", backend="numpy", **serial_kwargs
     ).reconstruct(ds)
     r_process = GradientDecompositionReconstructor(
-        executor="process", backend="numpy", **serial_kwargs,
+        executor=executor, backend="numpy", **serial_kwargs,
         **process_extra,
     ).reconstruct(ds)
     return r_serial, r_process
@@ -84,23 +85,40 @@ class TestPlanners:
 
 
 class TestWorkerPools:
-    """runtime_workers < n_ranks co-hosts rank blocks in one process."""
+    """runtime_workers < n_ranks co-hosts rank blocks in one process:
+    messages inside a block stay in the worker's mailbox, the rest cross
+    a queue, and collectives are booked by worker 0 alone — at every
+    pool width the totals must still be the serial run's."""
 
+    @pytest.mark.parametrize("planner", ["appp", "allreduce"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_reduced_pool_bit_identical(self, tiny_dataset, tiny_lr, workers):
+    def test_reduced_pool_bit_identical(
+        self, tiny_dataset, tiny_lr, workers, planner
+    ):
+        kwargs = dict(n_ranks=4, iterations=2, lr=tiny_lr, planner=planner)
+        if planner == "allreduce":
+            kwargs["mode"] = "synchronous"
+        a, b = _pair(tiny_dataset, kwargs, runtime_workers=workers)
+        _assert_fingerprint(a, b)
+
+    def test_spawned_workers_bit_identical(self, tiny_dataset, tiny_lr):
+        """``EnginePlan`` promises to ship under ``spawn`` too."""
         a, b = _pair(
             tiny_dataset,
             dict(n_ranks=4, iterations=2, lr=tiny_lr),
-            runtime_workers=workers,
+            executor=ProcessExecutor(workers=2, start_method="spawn"),
         )
         _assert_fingerprint(a, b)
 
 
 class TestProbeRefinement:
-    def test_probe_allreduce_bit_identical(self, tiny_dataset, tiny_lr):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_probe_allreduce_bit_identical(
+        self, tiny_dataset, tiny_lr, workers
+    ):
         a, b = _pair(tiny_dataset, dict(
             n_ranks=4, iterations=2, lr=tiny_lr, refine_probe=True,
-        ), runtime_workers=2)
+        ), runtime_workers=workers)
         _assert_fingerprint(a, b)
         np.testing.assert_array_equal(a.probe, b.probe)
 
