@@ -43,8 +43,8 @@ Observability:
 
 Streaming & batching:
     :mod:`repro.data` — :class:`repro.data.DiffractionStore`
-    measurement stores (in-memory reference, chunked on-disk with
-    optional prefetch), :class:`repro.data.BatchPlanner`, and
+    measurement stores (in-memory reference, chunked on-disk read
+    through a file mapping), :class:`repro.data.BatchPlanner`, and
     :func:`repro.data.write_store`; configs carry
     ``data_source=``/``batch_size=``/``prefetch=``, and every setting
     is fingerprint-identical to the per-position in-memory reference.

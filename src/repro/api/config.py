@@ -173,8 +173,10 @@ class ReconstructionConfig:
         an explicit value pinned here is never overridden by the
         environment.
     prefetch:
-        Overlap on-disk chunk I/O with compute (``None`` = ambient
-        default, off).
+        Page-cache hint for an on-disk ``.npz`` store: its mapping is
+        advised ``MADV_WILLNEED`` so the kernel reads ahead (a no-op
+        for HDF5 and in-memory sources; ``None`` = ambient default,
+        off).  Starts no thread and never changes numerics.
     probe_modes:
         Number of incoherent probe modes (mixed-state reconstruction,
         see :mod:`repro.physics.probe`).  ``None``/1 is the scalar

@@ -193,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "bit-identical at every setting")
     rec.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
                      default=None,
-                     help="overlap on-disk chunk reads with compute "
-                          "(on-disk --data-store only); --no-prefetch "
+                     help="page-cache read-ahead hint for a .npz "
+                          "--data-store (a no-op for HDF5); --no-prefetch "
                           "overrides a config that pinned it on")
     rec.add_argument("--probe-modes", type=int, default=None,
                      help="incoherent probe modes for mixed-state "

@@ -7,8 +7,6 @@ Public surface:
   :func:`write_store` resolution;
 * batching — :class:`BatchPlanner` and the ``REPRO_BATCH_SIZE``
   resolution helpers;
-* prefetch — the background :class:`ChunkPrefetcher` the on-disk
-  stores share;
 * streaming — the dynamic-acquisition layer: :class:`StreamingStore`
   (appendable store with WAIT/END_OF_SCAN semantics), the
   :class:`ScanSource` protocol with simulated/replay implementations,
@@ -23,7 +21,6 @@ from repro.data.batching import (
     resolve_batch_size,
     resolve_positions,
 )
-from repro.data.prefetch import ChunkPrefetcher
 from repro.data.store import (
     ChunkedNpzStore,
     DiffractionStore,
@@ -50,7 +47,6 @@ from repro.data.streaming import (
 
 __all__ = [
     "BatchPlanner",
-    "ChunkPrefetcher",
     "ChunkedNpzStore",
     "DiffractionStore",
     "ENV_BATCH_SIZE",

@@ -13,8 +13,8 @@ reads amplitudes on demand:
   behaviour (including its per-rank measurement-shard byte accounting).
 * :class:`ChunkedNpzStore` — write-once, chunked, single-file on-disk
   store (an uncompressed zip of ``.npy`` chunk members plus a JSON
-  header).  Chunks load lazily into a small LRU cache; sequential reads
-  can overlap I/O with compute via a background prefetcher.
+  header).  Reads copy frames straight out of one read-only mapping of
+  the file; each chunk's CRC-32 is checked on its first touch.
 * :class:`Hdf5Store` — the same layout on HDF5 chunked datasets, for
   interoperability with beamline pipelines.  Import-guarded: registered
   always, usable only where ``h5py`` is installed.
@@ -33,18 +33,27 @@ parity suite in ``tests/data`` pins.
 from __future__ import annotations
 
 import json
+import mmap
+import struct
 import threading
-import time
 import zipfile
+import zlib
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
-
-from repro.data.prefetch import ChunkPrefetcher
-from repro.obs import telemetry as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.physics.dataset import PtychoDataset
@@ -66,8 +75,12 @@ _STORE_KIND = "repro-diffraction-store"
 _STORE_VERSION = 1
 #: Default probes per on-disk chunk (write side).
 DEFAULT_CHUNK_SIZE = 64
-#: Default resident chunks on the read side (current + next).
+#: Chunks an on-disk store declares resident per rank (current + next)
+#: — the read window the memory tracker accounts.
 DEFAULT_CACHE_CHUNKS = 2
+#: Zip local file header: signature ... name length, extra length.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+_LOCAL_HEADER_SIGNATURE = b"PK\x03\x04"
 
 _HDF5_SUFFIXES = (".h5", ".hdf5")
 
@@ -116,8 +129,8 @@ class DiffractionStore(ABC):
     def read_batch(self, indices: Sequence[int]) -> np.ndarray:
         """``(B, det, det)`` stack for ``indices`` (gathered reads).
 
-        The default stacks :meth:`read` results; chunked stores override
-        to serve runs of indices from already-resident chunks.
+        The default stacks :meth:`read` results; stores override to
+        gather the batch in one pass.
         """
         return np.stack([self.read(i) for i in indices])
 
@@ -125,8 +138,8 @@ class DiffractionStore(ABC):
         """Resident bytes a rank holding ``indices`` pays this store.
 
         The in-memory reference pins the whole shard; out-of-core stores
-        report their bounded cache instead — the quantity the memory
-        tracker records per rank.
+        report their bounded read window instead — the quantity the
+        memory tracker records per rank.
         """
         itemsize = self.dtype.itemsize
         return len(indices) * self.detector_px**2 * itemsize
@@ -137,7 +150,7 @@ class DiffractionStore(ABC):
         return self.detector_px**2 * self.dtype.itemsize
 
     def close(self) -> None:
-        """Release file handles / prefetch workers.  Idempotent."""
+        """Release file handles and mappings.  Idempotent."""
         return
 
     def worker_copy(self) -> "DiffractionStore":
@@ -208,72 +221,132 @@ class ChunkedNpzStore(DiffractionStore):
 
     Layout: a JSON header member plus ``chunk_%05d.npy`` members of
     ``chunk_size`` consecutive frames each (the last chunk may be
-    ragged).  Uncompressed members make a chunk read one seek + one
-    ``np.lib.format`` parse, and the single-file form travels like any
-    ``.npz`` archive.
+    ragged).  Members are stored uncompressed, so each chunk's frames
+    sit contiguously in the file, and the single-file form travels like
+    any ``.npz`` archive.
 
-    Reads are lazy: at most ``cache_chunks`` chunks stay resident (LRU),
-    so a rank streaming its shard holds ``O(cache_chunks * chunk)``
-    bytes instead of the whole shard.  With ``prefetch=True`` a single
-    background worker loads the *next* chunk while the caller computes
-    on the current one (sequential raster reads are the common access
-    pattern).
+    Opening parses the zip directory and each chunk's local and ``.npy``
+    headers once, recording where its frames start.  The first read
+    maps the whole file read-only; :meth:`read_batch` then copies each
+    frame out of the mapping into a fresh array — no per-chunk parse, no
+    cache, no thread.  The page cache, not this object, holds what was
+    read, so the store declares the read window of
+    ``DEFAULT_CACHE_CHUNKS`` chunks as its resident bytes.  Each chunk's
+    CRC-32 is checked the first time a read touches it.  With
+    ``prefetch=True`` the mapping is advised ``MADV_WILLNEED`` (where the
+    platform has it) so the kernel reads the file ahead.
 
-    Instances pickle by path — open handles, cache and prefetcher are
-    dropped and lazily rebuilt — so a store rides an
+    Instances pickle by path — the mapping is dropped and rebuilt on the
+    first read — so a store rides an
     :class:`~repro.runtime.executor.EnginePlan` into worker processes,
-    each of which then reads the file independently.
+    each of which then maps the file independently.
     """
 
     def __init__(
-        self,
-        path: Union[str, Path],
-        cache_chunks: int = DEFAULT_CACHE_CHUNKS,
-        prefetch: bool = False,
+        self, path: Union[str, Path], prefetch: bool = False
     ) -> None:
-        if cache_chunks <= 0:
-            raise ValueError("cache_chunks must be positive")
         self.path = Path(path)
-        self.cache_chunks = int(cache_chunks)
         self.prefetch = bool(prefetch)
-        self._zip: Optional[zipfile.ZipFile] = None
-        self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._prefetcher: Optional[ChunkPrefetcher] = None
-        # Serializes chunk I/O against close(): the shared zip handle
-        # seeks, so concurrent member reads (prefetch worker vs caller)
-        # would corrupt each other, and a close racing an in-flight
-        # read could be undone by the lazy reopen in _zipfile() —
-        # leaking the file descriptor.  The lock makes close() wait for
-        # the in-flight read, and _closed makes every later read fail
-        # pointedly instead of silently reopening.
+        # Serializes reads against close(): close() may unmap only once
+        # no read holds a view into the mapping, and _closed makes every
+        # later read fail pointedly instead of silently remapping.
         self._io_lock = threading.Lock()
         self._closed = False
-        self._meta = self._read_meta()
+        self._map: Optional[mmap.mmap] = None
+        self._chunks: List[np.ndarray] = []  # frame views into _map
+        self._verified: Set[int] = set()
+        self._meta: Dict = {}
+        self._members: List[_Member] = []
+        self._read_header()
 
     # -- header --------------------------------------------------------
-    def _read_meta(self) -> Dict:
+    def _read_header(self) -> None:
+        """Fill ``_meta`` from the JSON header and ``_members`` with
+        every chunk's :meth:`_locate_chunk` record."""
         try:
-            with zipfile.ZipFile(self.path) as zf:
+            with open(self.path, "rb") as fh, zipfile.ZipFile(fh) as zf:
                 if _META_MEMBER not in zf.namelist():
                     raise StoreFormatError(
                         f"{self.path} is not a chunked diffraction store "
                         f"(missing {_META_MEMBER})"
                     )
                 meta = json.loads(zf.read(_META_MEMBER).decode("utf-8"))
+                if meta.get("kind") != _STORE_KIND:
+                    raise StoreFormatError(
+                        f"{self.path} holds {meta.get('kind')!r}, "
+                        f"not {_STORE_KIND!r}"
+                    )
+                if int(meta.get("version", 0)) > _STORE_VERSION:
+                    raise StoreFormatError(
+                        f"{self.path} uses store format v{meta['version']}; "
+                        f"this build reads <= v{_STORE_VERSION}"
+                    )
+                self._meta = meta
+                self._members = [
+                    self._locate_chunk(fh, zf, ci)
+                    for ci in range(self.n_chunks)
+                ]
         except zipfile.BadZipFile as exc:
             raise StoreFormatError(
                 f"{self.path} is not a chunked diffraction store: {exc}"
             ) from None
-        if meta.get("kind") != _STORE_KIND:
+
+    def _locate_chunk(
+        self, fh: IO[bytes], zf: zipfile.ZipFile, ci: int
+    ) -> "_Member":
+        """Where chunk ``ci``'s member and frames sit in the file, after
+        checking its zip and ``.npy`` headers against the store header."""
+        name = _chunk_member(ci)
+        member = f"{self.path} member {name}"
+        try:
+            info = zf.getinfo(name)
+        except KeyError:
+            raise StoreFormatError(f"{member} is missing") from None
+        if info.compress_type != zipfile.ZIP_STORED:
             raise StoreFormatError(
-                f"{self.path} holds {meta.get('kind')!r}, not {_STORE_KIND!r}"
+                f"{member} is compressed; chunk members must be stored "
+                f"uncompressed — rewrite the store with `repro store`"
             )
-        if int(meta.get("version", 0)) > _STORE_VERSION:
+        fh.seek(info.header_offset)
+        local = fh.read(_LOCAL_HEADER.size)
+        if len(local) < _LOCAL_HEADER.size:
+            raise StoreFormatError(f"{member}: truncated local header")
+        signature, name_len, extra_len = _LOCAL_HEADER.unpack(local)
+        if signature != _LOCAL_HEADER_SIGNATURE:
             raise StoreFormatError(
-                f"{self.path} uses store format v{meta['version']}; this "
-                f"build reads <= v{_STORE_VERSION}"
+                f"{member}: bad local header signature {signature!r}"
             )
-        return meta
+        start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+        fh.seek(start)
+        try:
+            version = np.lib.format.read_magic(fh)
+            read_header = (
+                np.lib.format.read_array_header_1_0
+                if version == (1, 0)
+                else np.lib.format.read_array_header_2_0
+            )
+            shape, fortran_order, dtype = read_header(fh)
+        except ValueError as exc:
+            raise StoreFormatError(
+                f"{member} is not a valid .npy array: {exc}"
+            ) from None
+        rows = min(self.chunk_size, self.n_probes - ci * self.chunk_size)
+        expected = (rows, self.detector_px, self.detector_px)
+        if fortran_order or dtype != self.dtype or shape != expected:
+            order = "Fortran" if fortran_order else "C"
+            raise StoreFormatError(
+                f"{member} holds a {order}-order {dtype} array of shape "
+                f"{shape}; the store header promises a C-order "
+                f"{self.dtype} array of shape {expected}"
+            )
+        frames = fh.tell()
+        size = frames - start + rows * self.frame_nbytes
+        if size != info.file_size:
+            raise StoreFormatError(
+                f"{member} is {info.file_size} bytes, not the {size} its "
+                f".npy header describes"
+            )
+        return _Member(start, size, info.CRC, frames, rows)
 
     # -- protocol ------------------------------------------------------
     @property
@@ -304,116 +377,103 @@ class ChunkedNpzStore(DiffractionStore):
         return self.chunk_size * self.frame_nbytes
 
     def shard_nbytes(self, indices: Sequence[int]) -> int:
-        """Resident bytes are cache-bounded, not shard-sized — the
-        out-of-core memory win the tracker should report."""
+        """Resident bytes are bounded by the read window, not
+        shard-sized — the out-of-core memory win the tracker should
+        report."""
         full = super().shard_nbytes(indices)
-        return min(full, self.cache_chunks * self.chunk_nbytes)
+        return min(full, DEFAULT_CACHE_CHUNKS * self.chunk_nbytes)
 
     def read(self, index: int) -> np.ndarray:
-        if not (0 <= index < self.n_probes):
-            raise IndexError(
-                f"probe index {index} out of range [0, {self.n_probes})"
-            )
-        ci, offset = divmod(index, self.chunk_size)
-        return self._chunk(ci)[offset]
+        return self.read_batch((index,))[0]
 
     def read_batch(self, indices: Sequence[int]) -> np.ndarray:
+        n, per_chunk = self.n_probes, self.chunk_size
+        where = []
+        for index in indices:
+            if not 0 <= index < n:
+                raise IndexError(
+                    f"probe index {index} out of range [0, {n})"
+                )
+            where.append(divmod(int(index), per_chunk))
         out = np.empty(
-            (len(indices), self.detector_px, self.detector_px),
+            (len(where), self.detector_px, self.detector_px),
             dtype=self.dtype,
         )
-        for b, index in enumerate(indices):
-            out[b] = self.read(index)
+        with self._io_lock:
+            # The lock must cover the one-time open+map: a close()
+            # between mapping and installing it would leak the mapping.
+            # repro-lint: allow[lock-blocking] -- once per handle
+            chunks = self._mapped_chunks(where)
+            for b, (ci, row) in enumerate(where):
+                out[b] = chunks[ci][row]
+            # Released under the lock: once close() holds it, it drops
+            # the views and unmaps, which raises BufferError while any
+            # view is still referenced.
+            del chunks
         return out
 
-    # -- chunk I/O -----------------------------------------------------
-    def _zipfile(self) -> zipfile.ZipFile:
-        # Callers hold _io_lock.
+    # -- mapping -------------------------------------------------------
+    def _mapped_chunks(
+        self, where: Sequence[Tuple[int, int]]
+    ) -> List[np.ndarray]:
+        """The per-chunk frame views, mapping the file on first use and
+        checking every touched chunk's CRC-32 on its first touch.
+
+        Callers hold ``_io_lock`` and drop the returned list before
+        releasing it; nothing here may raise while a view is bound to a
+        local, or the traceback would pin the mapping open.
+        """
         if self._closed:
             raise ValueError(
                 f"store {self.path} is closed; reads after close() are "
                 "a lifecycle bug (reopen via worker_copy() if needed)"
             )
-        if self._zip is None:
-            self._zip = zipfile.ZipFile(self.path)
-        return self._zip
+        if self._map is None:
+            with open(self.path, "rb") as fh:
+                mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            if self.prefetch and hasattr(mmap, "MADV_WILLNEED"):
+                mapping.madvise(mmap.MADV_WILLNEED)
+            det = self.detector_px
+            self._chunks = [
+                np.frombuffer(
+                    mapping, self.dtype, m.rows * det * det, m.frames
+                ).reshape(m.rows, det, det)
+                for m in self._members
+            ]
+            self._map = mapping
+        for ci, _ in where:
+            if ci not in self._verified:
+                self._verify(self._map, ci)
+        return self._chunks
 
-    def _read_chunk_member(self, ci: int) -> np.ndarray:
-        with self._io_lock:
-            with self._zipfile().open(_chunk_member(ci)) as member:
-                return np.lib.format.read_array(member, allow_pickle=False)
-
-    def _load_chunk(self, ci: int) -> np.ndarray:
-        tel = _obs.current()
-        if not tel.enabled:
-            return self._read_chunk_member(ci)
-        t0 = time.perf_counter()
-        chunk = self._read_chunk_member(ci)
-        tel.add({
-            "store.chunk_load.calls": 1,
-            "store.chunk_load.seconds": time.perf_counter() - t0,
-        })
-        return chunk
-
-    def _chunk(self, ci: int) -> np.ndarray:
-        tel = _obs.current()
-        cached = self._cache.get(ci)
-        if cached is not None:
-            if tel.enabled:
-                tel.count("store.cache.hits")
-            self._cache.move_to_end(ci)
-        else:
-            if tel.enabled:
-                tel.count("store.cache.misses")
-            pending = (
-                self._prefetcher.take(ci)
-                if self._prefetcher is not None
-                else None
+    def _verify(self, mapping: mmap.mmap, ci: int) -> None:
+        member = self._members[ci]
+        crc = zlib.crc32(mapping[member.start : member.start + member.size])
+        if crc != member.crc:
+            raise StoreFormatError(
+                f"{self.path} member {_chunk_member(ci)} fails its CRC-32 "
+                f"check (directory {member.crc:08x}, data {crc:08x}); the "
+                f"file is corrupt"
             )
-            cached = pending if pending is not None else self._load_chunk(ci)
-            self._cache[ci] = cached
-            while len(self._cache) > self.cache_chunks:
-                self._cache.popitem(last=False)
-        if self.prefetch and ci + 1 < self.n_chunks:
-            nxt = ci + 1
-            if nxt not in self._cache:
-                if self._prefetcher is None:
-                    self._prefetcher = ChunkPrefetcher(self._load_chunk)
-                self._prefetcher.schedule(nxt)
-        return cached
-
-    def stats(self) -> Dict[str, int]:
-        """Prefetch/cache statistics (for the benchmark harness)."""
-        out = {"resident_chunks": len(self._cache)}
-        if self._prefetcher is not None:
-            out.update(self._prefetcher.stats())
-        return out
+        self._verified.add(ci)
 
     # -- lifecycle / pickling ------------------------------------------
     def close(self) -> None:
-        # Order matters: stop the prefetch worker first (cancelling
-        # queued loads, waiting out a running one), *then* mark closed
-        # and drop the handle under the IO lock — an in-flight caller
-        # read finishes cleanly, and everything after it raises instead
-        # of lazily reopening the file it just watched close.
-        prefetcher, self._prefetcher = self._prefetcher, None
-        if prefetcher is not None:
-            prefetcher.close()
+        # Views dropped and _closed set under the lock: an in-flight
+        # read finishes first, and every later read raises instead of
+        # remapping the file this call unmaps.
         with self._io_lock:
             self._closed = True
-            zf, self._zip = self._zip, None
-            self._cache.clear()
-        # Evicted under the lock, closed outside it: close() does file
-        # I/O and must not extend the critical section readers contend
-        # on.  _closed already makes any later _zipfile() call fail.
-        if zf is not None:
-            zf.close()
+            self._chunks = []
+            mapping, self._map = self._map, None
+        if mapping is not None:
+            mapping.close()
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_zip"] = None
-        state["_cache"] = OrderedDict()
-        state["_prefetcher"] = None
+        state["_map"] = None
+        state["_chunks"] = []
+        state["_verified"] = set()
         del state["_io_lock"]
         return state
 
@@ -422,11 +482,7 @@ class ChunkedNpzStore(DiffractionStore):
         self._io_lock = threading.Lock()
 
     def worker_copy(self) -> "ChunkedNpzStore":
-        return ChunkedNpzStore(
-            self.path,
-            cache_chunks=self.cache_chunks,
-            prefetch=self.prefetch,
-        )
+        return ChunkedNpzStore(self.path, prefetch=self.prefetch)
 
     # -- writer --------------------------------------------------------
     @classmethod
@@ -476,6 +532,16 @@ def _chunk_member(ci: int) -> str:
     return f"chunk_{ci:05d}.npy"
 
 
+class _Member(NamedTuple):
+    """Byte offsets of one chunk member in a :class:`ChunkedNpzStore`."""
+
+    start: int  # first byte of the member's data (its .npy header)
+    size: int  # member bytes, .npy header included
+    crc: int  # CRC-32 of those bytes, from the zip directory
+    frames: int  # first byte of the frame data
+    rows: int  # frames in the chunk
+
+
 # ----------------------------------------------------------------------
 # HDF5 store (optional dependency)
 # ----------------------------------------------------------------------
@@ -495,7 +561,8 @@ class Hdf5Store(DiffractionStore):
     ``(N, det, det)``, chunked ``(chunk_size, det, det)``.
 
     Same read contract as :class:`ChunkedNpzStore` (HDF5's own chunk
-    cache plays the LRU role).  Import-guarded: constructing or writing
+    cache serves repeated reads; ``prefetch`` is accepted and ignored).
+    Import-guarded: constructing or writing
     raises :class:`StoreUnavailableError` where ``h5py`` is missing.
     """
 

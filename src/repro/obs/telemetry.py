@@ -9,7 +9,7 @@ module provides the recording half:
 
 * :class:`Telemetry` — a per-run recorder of hierarchical **spans**
   (named intervals, optionally attributed to a logical rank) and
-  monotonic **counters** (``fft.calls``, ``store.cache.hits``, ...).
+  monotonic **counters** (``fft.calls``, ``store.read.frames``, ...).
   Spans aggregate on close into per-``(name, rank)`` call/second
   totals, and the raw events are kept (bounded) for Chrome trace
   export.
@@ -90,8 +90,6 @@ _PHASE_BUCKETS = {
 _COUNTER_BUCKETS = {
     "fft.seconds": "fft",
     "store.read.seconds": "store",
-    "store.chunk_load.seconds": "store",
-    "store.prefetch.wait_seconds": "store",
     "queue.wait.seconds": "queue",
 }
 

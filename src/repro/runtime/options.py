@@ -41,8 +41,9 @@ class RunOptions:
         Measurement source and batching, see :mod:`repro.data`.
         ``None``/``"memory"`` pins each rank's measurement shard in RAM
         (the historical behaviour), a path streams lazily from a chunked
-        on-disk store (``prefetch=True`` overlaps the next chunk's I/O
-        with compute), a :class:`~repro.data.DiffractionStore` instance
+        on-disk store (``prefetch=True`` asks the kernel to read an
+        ``.npz`` store's mapping ahead; a no-op for HDF5), a
+        :class:`~repro.data.DiffractionStore` instance
         is used as-is (the caller keeps ownership); stores never change
         numerics.  ``batch_size`` probes *per rank* run through each
         multislice call as one FFT batch where order permits; a sweep

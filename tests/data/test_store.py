@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import pickle
+import struct
+import threading
 import zipfile
 
 import numpy as np
@@ -90,16 +93,8 @@ class TestChunkedNpzStore:
             with pytest.raises(IndexError):
                 store.read(-1)
 
-    def test_cache_stays_bounded(self, tmp_path, amplitudes):
-        path = tmp_path / "tiny_chunks.npz"
-        ChunkedNpzStore.write(path, amplitudes, chunk_size=1)
-        with ChunkedNpzStore(path, cache_chunks=2) as store:
-            for i in range(store.n_probes):
-                store.read(i)
-            assert store.stats()["resident_chunks"] <= 2
-
     def test_shard_nbytes_is_cache_bounded(self, store_path, amplitudes):
-        with ChunkedNpzStore(store_path, cache_chunks=2) as store:
+        with ChunkedNpzStore(store_path) as store:
             full = amplitudes.nbytes
             resident = store.shard_nbytes(range(store.n_probes))
             assert resident == 2 * store.chunk_nbytes
@@ -108,24 +103,35 @@ class TestChunkedNpzStore:
             assert store.shard_nbytes([0]) == store.frame_nbytes
 
     def test_prefetch_serves_identical_frames(self, store_path, amplitudes):
+        threads = threading.active_count()
         with ChunkedNpzStore(store_path, prefetch=True) as store:
             for i in range(store.n_probes):
                 np.testing.assert_array_equal(
                     store.read(i), amplitudes[i]
                 )
-            stats = store.stats()
-            assert stats["prefetch_scheduled"] > 0
-            assert stats["prefetch_hits"] > 0
+            # Prefetch is a page-cache hint on the mapping, not a thread.
+            assert threading.active_count() == threads
+
+    def test_reads_are_copies(self, store_path, amplitudes):
+        # Nothing a read returns may pin the mapping, or close() could
+        # not unmap it.
+        store = ChunkedNpzStore(store_path)
+        frame = store.read(2)
+        batch = store.read_batch([3, 0])
+        store.close()
+        np.testing.assert_array_equal(frame, amplitudes[2])
+        np.testing.assert_array_equal(batch, amplitudes[[3, 0]])
+        assert frame.flags.writeable and batch.flags.writeable
 
     def test_worker_copy_opens_fresh_handle(self, store_path, amplitudes):
-        # Fork inherits open descriptors; a worker's copy must not
-        # share the parent's seek position.
+        # Fork inherits the parent's mapping; a worker's copy maps the
+        # file itself.
         parent = ChunkedNpzStore(store_path)
         parent.read(0)
         child = parent.worker_copy()
         try:
             assert child is not parent
-            assert child._zip is None  # no inherited handle
+            assert child._map is None  # no mapping until its first read
             np.testing.assert_array_equal(child.read(6), amplitudes[6])
             np.testing.assert_array_equal(parent.read(6), amplitudes[6])
         finally:
@@ -134,7 +140,7 @@ class TestChunkedNpzStore:
 
     def test_pickles_by_path(self, store_path, amplitudes):
         store = ChunkedNpzStore(store_path)
-        store.read(0)  # force the zip handle open
+        store.read(0)  # map the file before pickling
         clone = pickle.loads(pickle.dumps(store))
         try:
             np.testing.assert_array_equal(clone.read(5), amplitudes[5])
@@ -147,6 +153,17 @@ class TestChunkedNpzStore:
         store.read(0)
         store.close()
         store.close()
+
+    def test_close_unmaps_and_releases_fd(self, store_path):
+        from tests.service.test_leaks import mapped_regions_for, open_fds_for
+
+        store = ChunkedNpzStore(store_path)
+        assert mapped_regions_for(store_path) == []  # mapped lazily
+        store.read(0)
+        assert mapped_regions_for(store_path) != []
+        store.close()
+        assert mapped_regions_for(store_path) == []
+        assert open_fds_for(store_path) == []
 
     def test_rejects_non_store_files(self, tmp_path, amplitudes):
         bogus = tmp_path / "bogus.npz"
@@ -183,6 +200,88 @@ class TestChunkedNpzStore:
             ChunkedNpzStore.write(
                 tmp_path / "x.npz", amplitudes[:, :, :4], 4
             )
+
+
+def _rewrite(src, dst, member, payload=None, compression=zipfile.ZIP_STORED):
+    """Copy the store at ``src`` to ``dst``, writing ``member`` with
+    ``payload`` (an array saved as ``.npy``; ``None`` keeps its bytes)
+    and ``compression``."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for name in zin.namelist():
+            data = zin.read(name)
+            if name != member:
+                zout.writestr(name, data)
+                continue
+            if payload is not None:
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, payload, allow_pickle=False)
+                data = buf.getvalue()
+            zout.writestr(name, data, compress_type=compression)
+    return dst
+
+
+def _member_end(path, member):
+    """File offset just past ``member``'s stored bytes."""
+    raw = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    return info.header_offset + 30 + name_len + extra_len + info.file_size
+
+
+class TestIntegrity:
+    """Corrupt or foreign stores fail with a typed, pointed
+    ``StoreFormatError`` naming the member — at open for header
+    problems, on the first read touching the chunk for a bad CRC."""
+
+    def test_crc_mismatch_raises_on_first_touch(self, store_path, amplitudes):
+        end = _member_end(store_path, "chunk_00001.npy")
+        raw = bytearray(store_path.read_bytes())
+        raw[end - 1] ^= 0xFF  # last byte of frame 7
+        store_path.write_bytes(bytes(raw))
+        store = ChunkedNpzStore(store_path)  # no O(file) check at open
+        try:
+            np.testing.assert_array_equal(store.read(0), amplitudes[0])
+            with pytest.raises(StoreFormatError, match="chunk_00001.npy"):
+                store.read_batch([1, 5])
+            np.testing.assert_array_equal(store.read(8), amplitudes[8])
+        finally:
+            store.close()  # never BufferError after a failed read
+
+    def test_compressed_member_points_to_rewrite(self, store_path, tmp_path):
+        bad = _rewrite(
+            store_path, tmp_path / "deflated.npz", "chunk_00001.npy",
+            compression=zipfile.ZIP_DEFLATED,
+        )
+        with pytest.raises(StoreFormatError, match="repro store") as info:
+            ChunkedNpzStore(bad)
+        assert "chunk_00001.npy" in str(info.value)
+
+    def test_bad_local_header_signature(self, store_path):
+        with zipfile.ZipFile(store_path) as zf:
+            offset = zf.getinfo("chunk_00002.npy").header_offset
+        raw = bytearray(store_path.read_bytes())
+        raw[offset:offset + 4] = b"XXXX"
+        store_path.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError, match="signature") as info:
+            ChunkedNpzStore(store_path)
+        assert "chunk_00002.npy" in str(info.value)
+
+    @pytest.mark.parametrize("change", ["fortran", "dtype", "shape"])
+    def test_npy_header_disagrees_with_store_header(
+        self, store_path, tmp_path, amplitudes, change
+    ):
+        chunk = amplitudes[4:8]
+        payload = {
+            "fortran": np.asfortranarray(chunk),
+            "dtype": chunk.astype(np.float32),
+            "shape": chunk[:3],
+        }[change]
+        bad = _rewrite(
+            store_path, tmp_path / f"{change}.npz", "chunk_00001.npy", payload
+        )
+        with pytest.raises(StoreFormatError, match="chunk_00001.npy"):
+            ChunkedNpzStore(bad)
 
 
 class TestOpenStore:
@@ -276,12 +375,13 @@ class TestHdf5Store:
 
 
 class TestCloseRace:
-    """Regression: close() racing an in-flight chunk read used to let
-    the lazy ``_zipfile()`` reopen the archive *after* close — leaking
-    the file descriptor and leaving readers on a dead handle."""
+    """Regression: close() racing an in-flight read used to let the lazy
+    reopen run *after* close — leaking the file descriptor and leaving
+    readers on a dead handle.  With the mapped store the same race must
+    also never unmap under a reader (``BufferError``)."""
 
     def test_read_after_close_is_pointed(self, store_path):
-        store = ChunkedNpzStore(store_path, cache_chunks=1)
+        store = ChunkedNpzStore(store_path)
         store.read(0)
         store.close()
         with pytest.raises(ValueError, match="closed"):
@@ -290,15 +390,11 @@ class TestCloseRace:
     def test_concurrent_reads_and_close_leak_no_fds(
         self, store_path, amplitudes
     ):
-        import threading
-
         from tests.service.test_leaks import open_fds_for
 
         n = amplitudes.shape[0]
         for _ in range(5):
-            # cache_chunks=1 forces nearly every read through the zip
-            # handle, maximizing the close/read overlap window.
-            store = ChunkedNpzStore(store_path, cache_chunks=1)
+            store = ChunkedNpzStore(store_path)
             errors = []
 
             def reader():
@@ -321,17 +417,67 @@ class TestCloseRace:
             assert errors == []
             assert open_fds_for(store_path) == []
 
+    def test_close_racing_read_batch_never_unmaps_under_a_reader(
+        self, store_path, amplitudes
+    ):
+        import sys
+
+        from tests.service.test_leaks import mapped_regions_for, open_fds_for
+
+        n = amplitudes.shape[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                store = ChunkedNpzStore(store_path)
+                reading = threading.Semaphore(0)
+                failures = []
+
+                def reader(offset):
+                    try:
+                        for i in range(100_000):
+                            batch = store.read_batch(
+                                [(offset + i + k) % n for k in range(5)]
+                            )
+                            assert batch.shape == (5,) + amplitudes[0].shape
+                            if i == 0:
+                                reading.release()
+                    except ValueError as exc:
+                        if "closed" not in str(exc):
+                            failures.append(exc)
+                    except Exception as exc:  # BufferError included
+                        failures.append(exc)
+
+                threads = [
+                    threading.Thread(target=reader, args=(k,), daemon=True)
+                    for k in range(3)
+                ]
+                for thread in threads:
+                    thread.start()
+                # Close while every reader is inside its read loop; a
+                # close that unmapped under a reader raises BufferError
+                # here.
+                for _ in threads:
+                    assert reading.acquire(timeout=10.0)
+                store.close()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                assert failures == []
+                assert open_fds_for(store_path) == []
+                assert mapped_regions_for(store_path) == []
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_prefetching_store_closes_without_leaking(
         self, store_path, amplitudes
     ):
         from tests.service.test_leaks import open_fds_for
 
         for _ in range(5):
-            store = ChunkedNpzStore(store_path, cache_chunks=1,
-                                    prefetch=True)
-            # Schedule background loads, then close immediately: the
-            # pool must cancel what has not started and wait out what
-            # has (cancel_futures in ChunkPrefetcher.close).
+            store = ChunkedNpzStore(store_path, prefetch=True)
+            # Read from two chunks, then close immediately: the mapping
+            # and its descriptor must both go.
             store.read(0)
             store.read(4)
             store.close()

@@ -1,10 +1,11 @@
 """Resource hygiene: after the pool drains, no backend leases and no
-store file handles remain — the leak class the refcounted backend
-registry (and per-job store ownership) exists to prevent."""
+store file handles or mappings remain — the leak class the refcounted
+backend registry (and per-job store ownership) exists to prevent."""
 
 import os
 from pathlib import Path
 
+from repro import reconstruct
 from repro.backend import backend_refcount
 from repro.data import write_store
 from repro.service import JobState
@@ -25,6 +26,16 @@ def open_fds_for(path):
         except OSError:
             continue
     return fds
+
+
+def mapped_regions_for(path):
+    """Lines of ``/proc/self/maps`` for mappings of ``path``."""
+    path = str(Path(path).resolve())
+    with open("/proc/self/maps") as maps:
+        return [
+            line for line in maps
+            if line.rstrip("\n").split(maxsplit=5)[5:] == [path]
+        ]
 
 
 class TestBackendLeases:
@@ -94,3 +105,20 @@ class TestStoreHandles:
             assert handle.wait(timeout=WAIT) == JobState.DONE
         assert service.drain(timeout=WAIT)
         assert open_fds_for(store_path) == []
+        assert mapped_regions_for(store_path) == []
+
+    def test_chunked_store_released_after_process_run(
+        self, tiny_dataset, tiny_lr, tmp_path
+    ):
+        store_path = write_store(
+            tmp_path / "meas.npz", tiny_dataset, chunk_size=4
+        )
+        config = (
+            gd_config(tiny_lr, iterations=2)
+            .with_runtime(executor="process", runtime_workers=2)
+            .with_data(data_source=str(store_path), batch_size=2)
+        )
+        result = reconstruct(tiny_dataset, config)
+        assert len(result.history) == 2
+        assert open_fds_for(store_path) == []
+        assert mapped_regions_for(store_path) == []
