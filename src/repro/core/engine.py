@@ -28,12 +28,22 @@ gradient contributions outside the tile — exactly the approximation the
 paper justifies by the gradients being "almost zero everywhere outside the
 circle" (Sec. III).  With ``halo="exact"`` no truncation occurs and
 synchronous-mode runs match the serial solver bit-for-bit (tested).
+
+Sweep plans: every gradient group is compiled once per schedule into
+*plan rows* — one per ``(rank, probe index)``, holding the rank's state,
+the window's slices in the tile and in the window (empty when the window
+misses the tile entirely) and whether it needs vacuum padding — so a
+sweep step gathers and scatters by slice assignment with no geometry
+left to resolve.  The probe is permuted into the kernel's FFT-native
+layout once per sweep, not once per kernel call (it only changes between
+sweeps).  Handlers live in a module-level table, so an engine holds no
+bound methods of itself and dies by reference count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -120,6 +130,21 @@ class RankState:
     #: Per-rank probe copy + gradient buffer (probe refinement only).
     probe: Optional[np.ndarray] = None
     probe_grad: Optional[np.ndarray] = None
+
+
+#: One plan row: ``(state, probe index, slices in the tile, slices in
+#: the window, padded?, local-update scale)``; the slices lead with the
+#: slice axis and are empty when the window misses the tile.
+_Row = Tuple[RankState, int, Tuple[slice, ...], Tuple[slice, ...], bool, float]
+
+#: A lockstep group resolved once (see :meth:`NumericEngine._sweep_plan`):
+#: ``(first op, member states, per kernel call its rows)``.
+_SweepPlan = Tuple[Op, List[RankState], List[List[_Row]]]
+
+
+#: A compiled program entry: ``(handler, its arguments after the engine,
+#: the ops it runs)``.
+_Entry = Tuple[Callable[..., None], Sequence[object], List[Op]]
 
 
 class NumericEngine:
@@ -314,21 +339,8 @@ class NumericEngine:
         # main), so this binds the per-run/per-worker recorder once
         # instead of a thread-local lookup per op.
         self._obs = _obs.current()
-        #: One-slot cache of :meth:`_program`: (schedule, its length, groups).
-        self._compiled: Optional[Tuple[Schedule, int, List[List[Op]]]] = None
-        self._dispatch = {
-            ComputeGradients: self._op_sweep,
-            LocalSolve: self._op_sweep,
-            BufferExchange: self._op_exchange,
-            AllReduceGradient: self._op_allreduce,
-            ApplyBufferUpdate: self._op_apply,
-            ResetBuffer: self._op_reset,
-            VoxelPaste: self._op_paste,
-            Barrier: self._op_barrier,
-            ProbeSync: self._op_probe_sync,
-            ApplyProbeUpdate: self._op_probe_update,
-            OrthogonalizeProbe: self._op_orthogonalize,
-        }
+        #: One-slot cache of :meth:`_program`: (schedule, its length, program).
+        self._compiled: Optional[Tuple[Schedule, int, List[_Entry]]] = None
 
     @classmethod
     def from_plan(
@@ -450,12 +462,11 @@ class NumericEngine:
         same program.
         """
         tel = self._obs
-        for ops in self._program(schedule):
-            kind = type(ops[0])
-            handler = self._dispatch[kind]
+        for handler, args, ops in self._program(schedule):
             if not tel.enabled:
-                handler(*ops)
+                handler(self, *args)
                 continue
+            kind = type(ops[0])
             # Attribute the span to the lowest hosted rank it touches —
             # point-to-point ops and fused sweeps appear on one
             # timeline, not several, which keeps per-rank rows readable
@@ -465,18 +476,19 @@ class NumericEngine:
                     r for op in ops for r in op.ranks()
                 )
             )
-            args = {"ranks": ranks} if kind in _GRADIENT_OPS else {}
+            span_args = {"ranks": ranks} if kind in _GRADIENT_OPS else {}
             with tel.span(
-                _PHASE_OF.get(kind, "engine.op"), rank=ranks[0], **args
+                _PHASE_OF.get(kind, "engine.op"), rank=ranks[0], **span_args
             ):
-                handler(*ops)
+                handler(self, *args)
 
-    def _program(self, schedule: Schedule) -> List[List[Op]]:
+    def _program(self, schedule: Schedule) -> List[_Entry]:
         """This engine's program for ``schedule``, compiled once per
-        schedule object: the hosted ops in order, one handler call per
-        inner list, with every maximal run of consecutive *fusable*
-        gradient ops folded into one lockstep group that
-        :meth:`_op_sweep` runs as a single sweep.
+        schedule object: the hosted ops in order as ``(handler, its
+        arguments, ops)`` calls, with every maximal run of consecutive
+        *fusable* gradient ops folded into one lockstep group that
+        :meth:`_op_sweep` runs as a single sweep of its
+        :meth:`_sweep_plan`.
 
         Ops fuse when they are all ``ComputeGradients`` with the same
         ``local_update`` or all ``LocalSolve``, sit on pairwise distinct
@@ -499,7 +511,7 @@ class NumericEngine:
         for op in schedule:
             if self._hosted_set.isdisjoint(op.ranks()):
                 continue
-            if type(op) not in self._dispatch:  # pragma: no cover
+            if type(op) not in _DISPATCH:  # pragma: no cover
                 raise TypeError(
                     f"numeric engine cannot run {type(op).__name__}"
                 )
@@ -507,8 +519,47 @@ class NumericEngine:
                 groups[-1].append(op)
             else:
                 groups.append([op])
-        self._compiled = (schedule, len(schedule), groups)
-        return groups
+        program = [
+            (_DISPATCH[type(ops[0])], (self._sweep_plan(ops),), ops)
+            if type(ops[0]) in _GRADIENT_OPS
+            else (_DISPATCH[type(ops[0])], ops, ops)
+            for ops in groups
+        ]
+        self._compiled = (schedule, len(schedule), program)
+        return program
+
+    def _sweep_plan(
+        self, ops: Sequence[Union[ComputeGradients, LocalSolve]]
+    ) -> _SweepPlan:
+        """Resolve a lockstep group's geometry once: one plan row per
+        position, batched ``_positions_per_call`` positions per member
+        and step.  A window the extended tile cuts off is *padded*: its
+        pixels outside the tile read as vacuum and its gradient there is
+        discarded."""
+        window_of = self.dataset.scan.window_of
+        states = [self._state(op.rank) for op in ops]
+        members = []
+        for state, op in zip(states, ops):
+            scale = -(op.lr if isinstance(op, LocalSolve) else self.lr)
+            rows = []
+            for idx in op.probe_indices:
+                window = window_of(idx)
+                inner = window.intersect(state.ext)
+                tile_sl = window_sl = (slice(None), slice(0, 0), slice(0, 0))
+                if inner is not None:
+                    tile_sl = (slice(None), *inner.slices_in(state.ext))
+                    window_sl = (slice(None), *inner.slices_in(window))
+                rows.append(
+                    (state, idx, tile_sl, window_sl, inner != window, scale)
+                )
+            members.append(rows)
+        width = self._positions_per_call(ops[0])
+        longest = max(len(rows) for rows in members)
+        steps = [
+            [row for rows in members for row in rows[start : start + width]]
+            for start in range(0, longest, width)
+        ]
+        return ops[0], states, steps
 
     def _positions_per_call(self, op: Op) -> int:
         """Positions a gradient op contributes to each kernel call:
@@ -531,10 +582,7 @@ class NumericEngine:
     def iteration_cost(self) -> float:
         """Sum of per-probe data-fit values recorded since the last call
         (the sweep-cost convergence signal of Fig. 9)."""
-        total = sum(s.cost_accum for s in self.states)
-        for s in self.states:
-            s.cost_accum = 0.0
-        return total
+        return sum(self.iteration_costs().values())
 
     def iteration_costs(self) -> Dict[int, float]:
         """Per-hosted-rank sweep costs since the last call (and reset) —
@@ -578,17 +626,15 @@ class NumericEngine:
     # ------------------------------------------------------------------
     # Measurement reads (store-backed)
     # ------------------------------------------------------------------
-    def _measured(
-        self, items: Sequence[Tuple[RankState, int]]
-    ) -> np.ndarray:
+    def _measured(self, rows: Sequence[_Row]) -> np.ndarray:
         """``(B, det, det)`` measured stack at compute precision, one
-        frame per ``(state, probe index)`` — from the pinned shards when
-        present, else one gathered store read.  The conversion is
-        elementwise, so each frame is bit-identical to a single read."""
+        frame per plan row — from the pinned shards when present, else
+        one gathered store read.  The conversion is elementwise, so each
+        frame is bit-identical to a single read."""
         if self._pin_measurements:
-            stack = np.stack([s.measurements[idx] for s, idx in items])
+            stack = np.stack([row[0].measurements[row[1]] for row in rows])
         else:
-            indices = [idx for _, idx in items]
+            indices = [row[1] for row in rows]
             t0 = time.perf_counter()
             stack = self.store.read_batch(indices)
             if self._obs.enabled:
@@ -600,109 +646,75 @@ class NumericEngine:
         return np.asarray(stack, dtype=self.precision.real_dtype)
 
     # ------------------------------------------------------------------
-    # Patch I/O with vacuum padding (gradient truncation support)
-    # ------------------------------------------------------------------
-    def _read_patch(self, state: RankState, window: Rect) -> np.ndarray:
-        inner = window.intersect(state.ext)
-        if inner == window:
-            sl = window.slices_in(state.ext)
-            return state.volume[:, sl[0], sl[1]]
-        patch = np.ones(
-            (self.n_slices, window.height, window.width), dtype=self._cdtype
-        )
-        if inner is not None:
-            src = inner.slices_in(state.ext)
-            dst = inner.slices_in(window)
-            patch[:, dst[0], dst[1]] = state.volume[:, src[0], src[1]]
-        return patch
-
-    def _scatter(
-        self,
-        target: np.ndarray,
-        state: RankState,
-        window: Rect,
-        values: np.ndarray,
-        scale: float = 1.0,
-    ) -> None:
-        inner = window.intersect(state.ext)
-        if inner is None:
-            return
-        dst = inner.slices_in(state.ext)
-        src = inner.slices_in(window)
-        if scale == 1.0:
-            target[:, dst[0], dst[1]] += values[:, src[0], src[1]]
-        else:
-            target[:, dst[0], dst[1]] += scale * values[:, src[0], src[1]]
-
-    # ------------------------------------------------------------------
     # Op handlers
     # ------------------------------------------------------------------
-    def _rank_probe(self, state: RankState) -> np.ndarray:
-        return state.probe if state.probe is not None else self.probe
+    def _op_sweep(self, plan: _SweepPlan) -> None:
+        """Run one lockstep group (see :meth:`_program`) as a sweep of
+        its :meth:`_sweep_plan`.
 
-    def _op_sweep(self, *ops: Union[ComputeGradients, LocalSolve]) -> None:
-        """Run one lockstep group (see :meth:`_program`) as a sweep.
-
-        Step ``k`` stacks the ``k``-th position(s) of every member that
-        still has one — ragged tails just shrink the batch — through one
-        batched multislice call, then scatters, accumulates cost and
-        applies the local update per item, members in group order and
-        each member's positions in probe order: the same floating-point
-        accumulation sequence per rank as evaluating it alone.  A member
-        contributes several positions per call only when no volume write
-        happens between its reads (:meth:`_positions_per_call`), so all
-        patches of a step are gathered before any scatter.
+        Step ``k`` gathers its plan rows — the ``k``-th position(s) of
+        every member that still has one; ragged tails just shrink the
+        batch — into a ``(B, S, w, w)`` stack by slice assignment
+        (padded rows start from vacuum), runs one batched multislice
+        call, then scatters, accumulates cost and applies the local
+        update row by row through the same pre-resolved slices: the same
+        floating-point accumulation sequence per rank as evaluating it
+        alone.  A member contributes several positions per call only
+        when no volume write happens between its reads
+        (:meth:`_positions_per_call`), so all patches of a step are
+        gathered before any scatter.
 
         ``ComputeGradients`` accumulates into the gradient buffer (plus
         Alg. 1's immediate local step when ``local_update``);
         ``LocalSolve`` is the halo-voxel-exchange local phase: plain SGD
         on the extended tile over own + extra probes, no buffer
         involvement.  The group shares its first member's probe: every
-        rank holds the same probe between :class:`ProbeSync` updates.
+        rank holds the same probe between :class:`ProbeSync` updates,
+        and it changes only between sweeps, so it is permuted into the
+        kernel's FFT-native layout once per sweep.
         """
-        head = ops[0]
+        head, states, steps = plan
         solve = isinstance(head, LocalSolve)
         local_update = _updates_locally(head)
-        width = self._positions_per_call(head)
-        states = [self._state(op.rank) for op in ops]
         if not solve:
             for state in states:
                 state.neighbor_snapshot = None  # buffers change: invalidate
-        probe = self._rank_probe(states[0])
-        window_of = self.dataset.scan.window_of
-        longest = max(len(op.probe_indices) for op in ops)
-        for start in range(0, longest, width):
-            items = [
-                (state, idx, window_of(idx), op.lr if solve else self.lr)
-                for state, op in zip(states, ops)
-                for idx in op.probe_indices[start : start + width]
-            ]
+        probe = states[0].probe if states[0].probe is not None else self.probe
+        native_probe = self.model.native_probe(probe)
+        shape = (self.n_slices, self.model.window, self.model.window)
+        for rows in steps:
             # Named, not inlined: the previous step's stack stays
             # allocated until this one is built, the buffer lifetime the
             # batched path always had (inlined, `gd-batched-mixed-store`
             # measured 5 % slower with identical work).
-            patches = np.stack(
-                [self._read_patch(s, w) for s, _, w, _ in items]
-            )
+            patches = np.empty((len(rows), *shape), dtype=self._cdtype)
+            for patch, (state, _, tile_sl, window_sl, padded, _) in zip(
+                patches, rows
+            ):
+                if padded:
+                    patch[...] = 1.0
+                patch[window_sl] = state.volume[tile_sl]
             result = self.model.cost_and_gradient_batch(
                 probe,
                 patches,
-                self._measured([item[:2] for item in items]),
+                self._measured(rows),
                 compute_probe_grad=self.refine_probe and not solve,
+                native_probe=native_probe,
             )
             probe_grad = result.probe_grads
             if probe_grad is not None and probe_grad.ndim == 4:
                 # Mixed-state stack (M, B, w, w): item b is [:, b].
                 probe_grad = probe_grad.swapaxes(0, 1)
-            for b, (state, _, window, lr) in enumerate(items):
-                state.cost_accum += float(result.costs[b])
-                grad = result.object_grads[b]
+            costs, grads = result.costs.tolist(), result.object_grads
+            for b, (state, _, tile_sl, window_sl, _, scale) in enumerate(rows):
+                state.cost_accum += costs[b]
+                grad = grads[b][window_sl]
                 if not solve:
-                    self._scatter(state.accbuf, state, window, grad)
+                    state.accbuf[tile_sl] += grad
                     if state.localbuf is not None:
-                        self._scatter(state.localbuf, state, window, grad)
+                        state.localbuf[tile_sl] += grad
                 if local_update:
-                    self._scatter(state.volume, state, window, grad, -lr)
+                    state.volume[tile_sl] += scale * grad
                 if probe_grad is not None:
                     state.probe_grad += probe_grad[b]
 
@@ -803,3 +815,22 @@ class NumericEngine:
         if state.probe is None:
             raise RuntimeError("OrthogonalizeProbe without refine_probe=True")
         state.probe[...] = orthogonalize_modes(state.probe)
+
+
+#: Handler per op type, called ``handler(engine, *args)``.  Plain
+#: functions, not bound methods: an engine that held its own bound
+#: methods would sit in a reference cycle and outlive its last user
+#: until the cyclic GC ran, tile arrays and all.
+_DISPATCH: Dict[type, Callable[..., None]] = {
+    ComputeGradients: NumericEngine._op_sweep,
+    LocalSolve: NumericEngine._op_sweep,
+    BufferExchange: NumericEngine._op_exchange,
+    AllReduceGradient: NumericEngine._op_allreduce,
+    ApplyBufferUpdate: NumericEngine._op_apply,
+    ResetBuffer: NumericEngine._op_reset,
+    VoxelPaste: NumericEngine._op_paste,
+    Barrier: NumericEngine._op_barrier,
+    ProbeSync: NumericEngine._op_probe_sync,
+    ApplyProbeUpdate: NumericEngine._op_probe_update,
+    OrthogonalizeProbe: NumericEngine._op_orthogonalize,
+}

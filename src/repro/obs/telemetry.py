@@ -156,13 +156,22 @@ class NullTelemetry:
 
 NULL_TELEMETRY = NullTelemetry()
 
-_tls = threading.local()
+class _Ambient(threading.local):
+    """Per-thread ambient recorder.  The class-level default is what a
+    thread that never activated one reads, so :func:`current` is a
+    plain attribute read (no ``getattr`` default swallowing an
+    ``AttributeError`` on every transform)."""
+
+    telemetry: Any = NULL_TELEMETRY
+
+
+_tls = _Ambient()
 
 
 def current() -> "Telemetry":
     """The recorder active on this thread (the shared null recorder
     when none has been activated)."""
-    return getattr(_tls, "telemetry", NULL_TELEMETRY)
+    return _tls.telemetry
 
 
 class activate:
@@ -179,7 +188,7 @@ class activate:
         self._previous: Any = None
 
     def __enter__(self) -> "Telemetry":
-        self._previous = getattr(_tls, "telemetry", NULL_TELEMETRY)
+        self._previous = _tls.telemetry
         _tls.telemetry = self.telemetry
         return self.telemetry
 

@@ -44,7 +44,8 @@ There is one forward and one adjoint sweep, over an ``(M, B, w, w)``
 stack (``M`` probe modes x ``B`` probe locations; a scalar evaluation is
 the ``M = B = 1`` view).  Callers pass and receive *centred* arrays;
 inside, everything is *FFT-native*, ``x~ = ifftshift(x)``: probe, patch
-stack and measured amplitudes are permuted once on entry, each slice is
+stack and measured amplitudes are permuted once on entry (the probe
+once per caller instead, when it passes ``native_probe=``), each slice is
 ``psi~ <- ifft2(H~ * fft2(psi~ * O~_s))`` with the propagator's
 pre-permuted ``H~``, residual and adjoint seed are formed in the same
 layout, and the gradient stack is permuted back once on exit.  That is
@@ -207,15 +208,28 @@ class MultisliceModel:
         return self._prop
 
     # -- the kernel: (M, B, w, w) stacks in the FFT-native layout --------
+    def native_probe(self, probe: np.ndarray) -> np.ndarray:
+        """A centred probe (or mode stack) as the kernel's FFT-native
+        ``(M, w, w)`` stack at compute precision — what a caller that
+        evaluates one probe many times passes as ``native_probe=``."""
+        cdtype = self.precision.complex_dtype
+        return to_native(as_mode_stack(np.asarray(probe, dtype=cdtype)))
+
     def _far_field(
-        self, probe: np.ndarray, patches: np.ndarray
+        self,
+        probe: np.ndarray,
+        patches: np.ndarray,
+        native_probe: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
         """Forward sweep of a centred ``(B, S, w, w)`` patch stack under
-        a centred probe.  Returns, all native: the ``(M, B, w, w)`` far
-        field, the patch stack, and the wave incident on each slice
-        (references to the sweep's own arrays, not copies)."""
+        a centred probe (or its given :meth:`native_probe` form).
+        Returns, all native: the ``(M, B, w, w)`` far field, the patch
+        stack, and the wave incident on each slice (references to the
+        sweep's own arrays, not copies)."""
         cdtype = self.precision.complex_dtype
-        modes = as_mode_stack(np.asarray(probe, dtype=cdtype))
+        modes = (
+            self.native_probe(probe) if native_probe is None else native_probe
+        )
         stack = (self.n_slices, self.window, self.window)
         if modes.shape[1:] != stack[1:]:
             raise ValueError(
@@ -225,7 +239,7 @@ class MultisliceModel:
             raise ValueError(
                 f"object patches shape {np.shape(patches)} != (B,) + {stack}"
             )
-        psi = to_native(modes)[:, None]  # (M, 1, w, w): broadcasts over B
+        psi = modes[:, None]  # (M, 1, w, w): broadcasts over B
         # The permutation doubles as the contiguous copy the sweep wants.
         obj = to_native(np.asarray(patches, dtype=cdtype))
         incident = []
@@ -264,13 +278,16 @@ class MultisliceModel:
         return residual, costs
 
     def _evaluate(
-        self, probe, patches, measured, keep_amplitude, compute_probe_grad
+        self, probe, patches, measured, keep_amplitude, compute_probe_grad,
+        native_probe=None,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Forward + adjoint sweep of ``B`` locations, centred out:
         object gradients ``(B, S, w, w)``, costs ``(B,)`` and, on
         request, the amplitude ``(B, w, w)`` and the probe gradients
         ``(M, B, w, w)``."""
-        far_field, obj, incident = self._far_field(probe, patches)
+        far_field, obj, incident = self._far_field(
+            probe, patches, native_probe
+        )
         amplitude = self._amplitude(far_field)
         residual, costs = self._data_fit(amplitude, measured)
 
@@ -376,6 +393,8 @@ class MultisliceModel:
         object_patches: np.ndarray,
         measured_amplitudes: np.ndarray,
         compute_probe_grad: bool = False,
+        *,
+        native_probe: Optional[np.ndarray] = None,
     ) -> BatchGradientResult:
         """Evaluate ``B`` probe locations as one batched sweep.
 
@@ -385,10 +404,17 @@ class MultisliceModel:
         batched hot path the data pipeline exists to exploit.  Accepts
         non-contiguous inputs (gathered patch stacks, strided store
         reads); the layout permutation is the only copy.
+
+        ``native_probe`` (internal, for callers that evaluate one probe
+        over many calls, such as the engine's sweeps) is
+        :meth:`native_probe` of ``probe``, permuted once by the caller;
+        the kernel then skips its own probe permutation and ``probe``
+        only decides the probe-gradient shape.  Results are bitwise
+        those without it.
         """
         grads, costs, _, probe_grads = self._evaluate(
             probe, object_patches, measured_amplitudes, False,
-            compute_probe_grad,
+            compute_probe_grad, native_probe,
         )
         if probe_grads is not None and np.ndim(probe) != 3:
             probe_grads = probe_grads[0]

@@ -17,6 +17,8 @@ the contracts pinned here are load-bearing:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -106,32 +108,42 @@ class TestGradientAccumulators:
     """The engine's scatter-accumulate must accept strided gradient
     stacks (batched results indexed per item are views)."""
 
-    def test_scatter_accepts_noncontiguous_values(self, tiny_dataset, rng):
+    def test_sweep_scatters_noncontiguous_gradients_exactly(
+        self, tiny_dataset
+    ):
+        """One sweep whose kernel hands back a transposed (strided)
+        gradient stack must scatter exactly like its contiguous copy —
+        into the buffers and, via the local update, the volume; padded
+        rows (``halo=2``) included."""
+        from repro.core.decomposition import MeshLayout, decompose_gradient
         from repro.core.engine import NumericEngine
-        from repro.core.decomposition import decompose_gradient
+        from repro.schedule.ops import ComputeGradients, Schedule
 
         decomp = decompose_gradient(
-            tiny_dataset.scan, tiny_dataset.object_shape, n_ranks=1
+            tiny_dataset.scan, tiny_dataset.object_shape,
+            mesh=MeshLayout(2, 2), halo=2,
         )
-        engine = NumericEngine(tiny_dataset, decomp, lr=0.01)
-        state = engine.states[0]
-        window = tiny_dataset.scan.window_of(0)
-        shape = (
-            tiny_dataset.n_slices, window.height, window.width
-        )
-        values = np.asarray(
-            _field(rng, (shape[0], shape[2], shape[1]), np.complex128)
-        ).transpose(0, 2, 1)
-        assert not values.flags.c_contiguous
+        schedule = Schedule(decomp.n_ranks)
+        for tile in decomp.tiles:
+            schedule.add(ComputeGradients(
+                rank=tile.rank, probe_indices=tile.probes, local_update=True
+            ))
 
-        expected = state.accbuf.copy()
-        sl = window.intersect(state.ext).slices_in(state.ext)
-        src = window.intersect(state.ext).slices_in(window)
-        expected[:, sl[0], sl[1]] += np.ascontiguousarray(values)[
-            :, src[0], src[1]
-        ]
-        engine._scatter(state.accbuf, state, window, values)
-        np.testing.assert_array_equal(state.accbuf, expected)
+        def run(layout):
+            engine = NumericEngine(
+                tiny_dataset, decomp, lr=0.01, compensate_local=True
+            )
+            engine.model = _RelaidGradients(engine.model, layout)
+            engine.execute(schedule)
+            return engine.states
+
+        strided = run(lambda g: np.ascontiguousarray(
+            g.swapaxes(-2, -1)).swapaxes(-2, -1))
+        contiguous = run(np.ascontiguousarray)
+        for a, b in zip(strided, contiguous):
+            np.testing.assert_array_equal(a.accbuf, b.accbuf)
+            np.testing.assert_array_equal(a.localbuf, b.localbuf)
+            np.testing.assert_array_equal(a.volume, b.volume)
 
     def test_batched_model_accepts_strided_patches(self, tiny_dataset, rng):
         """A gathered-but-transposed patch stack must evaluate exactly
@@ -155,3 +167,23 @@ class TestGradientAccumulators:
             strided.object_grads, contiguous.object_grads
         )
         np.testing.assert_array_equal(strided.costs, contiguous.costs)
+
+
+class _RelaidGradients:
+    """Model stub: the real kernel, its object-gradient stack handed
+    back re-laid-out by ``layout`` (values unchanged)."""
+
+    def __init__(self, model, layout):
+        self._model = model
+        self._layout = layout
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def cost_and_gradient_batch(self, *args, **kwargs):
+        result = self._model.cost_and_gradient_batch(*args, **kwargs)
+        grads = self._layout(result.object_grads)
+        assert grads.flags.c_contiguous == (
+            self._layout is np.ascontiguousarray
+        )
+        return replace(result, object_grads=grads)

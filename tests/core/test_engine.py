@@ -1,12 +1,18 @@
 """Numeric engine: op handlers, message discipline, memory accounting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.decomposition import decompose_gradient
 from repro.core.engine import NumericEngine
+from repro.core.reconstructor import GradientDecompositionReconstructor
 from repro.core.passes import build_appp_passes
 from repro.parallel.topology import MeshLayout
+from repro.runtime.executor import EnginePlan
 from repro.schedule.ops import (
     ApplyBufferUpdate,
     BufferExchange,
@@ -234,3 +240,51 @@ class TestCompensateLocal:
         # no-op beyond the already-applied local updates.
         state = engine.states[0]
         np.testing.assert_allclose(state.accbuf, state.localbuf)
+
+
+class TestRefcountLifetime:
+    """An engine holds no reference cycle (its op handlers are a
+    module-level table, not bound methods), so it dies by reference
+    count the moment its last user lets go — not whenever the cyclic GC
+    next runs, with every tile array still allocated."""
+
+    @pytest.fixture()
+    def no_gc(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("solver", ["gd", "hve"])
+    def test_engines_die_when_reconstruct_returns(
+        self, tiny_dataset, monkeypatch, no_gc, solver
+    ):
+        built = []
+        init = NumericEngine.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(NumericEngine, "__init__", tracking_init)
+        config = repro.ReconstructionConfig(
+            solver, {"n_ranks": 4, "iterations": 2, "lr": 0.02},
+            executor="serial",
+        )
+        repro.reconstruct(tiny_dataset, config)
+        assert built
+        assert [ref() for ref in built] == [None] * len(built)
+
+    def test_engine_from_plan_dies_by_refcount(self, tiny_dataset, no_gc):
+        recon = GradientDecompositionReconstructor(n_ranks=4, lr=0.02)
+        decomp = recon.decompose(tiny_dataset)
+        schedule = recon.build_iteration_schedule(decomp)
+        engine = NumericEngine.from_plan(
+            EnginePlan(tiny_dataset, decomp, schedule, lr=0.02)
+        )
+        engine.execute(schedule)  # compiles and caches its sweep plans
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None

@@ -171,6 +171,27 @@ class TestActivation:
             thread.join()
         assert seen["other"] is NULL_TELEMETRY
 
+    def test_fresh_thread_reads_class_default_and_nesting_restores(self):
+        """A thread that never activated a recorder has no per-thread
+        entry: it reads the null recorder as the class-level default,
+        and nested activations on it restore each previous recorder."""
+        outer, inner = Telemetry(), Telemetry()
+        seen = []
+
+        def run():
+            seen.append("telemetry" in vars(obs._tls))
+            seen.append(current())
+            with activate(outer):
+                with activate(inner):
+                    seen.append(current())
+                seen.append(current())
+            seen.append(current())
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        assert seen == [False, NULL_TELEMETRY, inner, outer, NULL_TELEMETRY]
+
 
 class TestEnablement:
     def test_explicit_beats_environment(self, monkeypatch):
