@@ -34,8 +34,10 @@ def test_multislice_forward(benchmark, kernel_setup):
 
 def test_multislice_cost_and_gradient(benchmark, kernel_setup):
     model, probe, obj, measured = kernel_setup
-    result = benchmark(model.cost_and_gradient, probe, obj, measured)
-    assert result.object_grad.shape == obj.shape
+    result = benchmark(
+        model.cost_and_gradient_batch, probe, obj[None], measured[None]
+    )
+    assert result.object_grads.shape == (1, *obj.shape)
 
 
 def test_fresnel_propagation(benchmark):

@@ -151,7 +151,7 @@ def bench_multislice_gradient(backend_name, dtype_name, sizes, repeats) -> float
 
     def run():
         for _ in range(inner):
-            model.cost_and_gradient(probe, obj, measured)
+            model.cost_and_gradient_batch(probe, obj[None], measured[None])
 
     return _best_of(run, repeats) / inner
 

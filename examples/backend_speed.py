@@ -66,8 +66,11 @@ def main() -> None:
         backend="numpy", dtype="complex128",
     )
     ref_measured = ref_model.forward_amplitude(probe, truth)
+    # One location is the kernel's B = 1 stack.
     baseline = best_of(
-        lambda: ref_model.cost_and_gradient(probe, obj, ref_measured)
+        lambda: ref_model.cost_and_gradient_batch(
+            probe, obj[None], ref_measured[None]
+        )
     )
     print(f"\nmultislice cost+gradient ({slices} slices, {window}px window):")
     for name in backends:
@@ -78,7 +81,9 @@ def main() -> None:
             )
             measured = model.forward_amplitude(probe, truth)
             seconds = best_of(
-                lambda: model.cost_and_gradient(probe, obj, measured)
+                lambda: model.cost_and_gradient_batch(
+                    probe, obj[None], measured[None]
+                )
             )
             print(
                 f"  {name:>10} {dtype:>10}: {seconds * 1e3:7.2f} ms"

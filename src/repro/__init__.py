@@ -44,10 +44,10 @@ Observability:
 Streaming & batching:
     :mod:`repro.data` — :class:`repro.data.DiffractionStore`
     measurement stores (in-memory reference, chunked on-disk read
-    through a file mapping), :class:`repro.data.BatchPlanner`, and
-    :func:`repro.data.write_store`; configs carry
-    ``data_source=``/``batch_size=``/``prefetch=``, and every setting
-    is fingerprint-identical to the per-position in-memory reference.
+    through a file mapping) and :func:`repro.data.write_store`; configs
+    carry ``data_source=``/``batch_size=``/``prefetch=``, and every
+    setting is fingerprint-identical to the per-position in-memory
+    reference.
 
 Physics / data:
     :func:`repro.physics.simulate_dataset`,
@@ -59,7 +59,8 @@ Reconstructor classes (what the registry adapters wrap):
     :class:`repro.core.GradientDecompositionReconstructor` (the paper's
     Algorithm 1), :class:`repro.baseline.HaloExchangeReconstructor` (the
     state-of-the-art baseline), :class:`repro.baseline.SerialReconstructor`
-    (the correctness reference)
+    (one rank holding the whole volume: either of the other two's
+    one-rank schedule)
 
 Scale/performance models (Tables II/III, Fig. 7):
     :class:`repro.perfmodel.MachineSpec`,

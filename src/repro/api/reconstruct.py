@@ -4,7 +4,7 @@
 through the registry, instantiates it with the config's
 ``solver_params``, applies the run-level parameters (currently
 ``resume``), and executes — one code path for the paper's Algorithm 1,
-the halo-exchange baseline, the serial reference, and any third-party
+the halo-exchange baseline, the serial solver, and any third-party
 registration.
 """
 

@@ -175,7 +175,7 @@ class HaloExchangeSolver(SolverAdapter):
         if initial_probe is not None:
             raise SolverCapabilityError(
                 "solver 'hve' does not support initial_probe: the "
-                "halo-exchange baseline has no probe-refinement path"
+                "halo-exchange baseline does not refine the probe"
             )
         return self.inner.reconstruct(
             dataset, observers=observers, initial_volume=initial_volume
@@ -184,9 +184,10 @@ class HaloExchangeSolver(SolverAdapter):
 
 @register_solver("serial")
 class SerialSolver(SolverAdapter):
-    """The single-volume correctness reference, adapted."""
+    """The single-volume solver (a one-rank gd or hve schedule), adapted."""
 
-    #: No rank programs to place: the two placement options are refused.
+    #: Its one rank always runs in process: the two placement options
+    #: are refused.
     accepted_params = frozenset(
         {"iterations", "lr", "scheme", "refine_probe", "probe_lr"}
     ) | (RunOptions.names() - {"executor", "runtime_workers"})

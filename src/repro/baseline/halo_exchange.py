@@ -31,7 +31,11 @@ from repro.core.decomposition import (
     decompose_halo_exchange,
 )
 from repro.core.observers import Observer
-from repro.core.reconstructor import ReconstructionResult, run_plan
+from repro.core.reconstructor import (
+    ReconstructionResult,
+    run_plan,
+    schedule_probe_update,
+)
 from repro.data.batching import resolve_positions
 from repro.parallel.topology import MeshLayout
 from repro.physics.dataset import PtychoDataset
@@ -67,6 +71,16 @@ class HaloExchangeReconstructor:
     enforce_tile_constraint:
         Raise :class:`ScalabilityError` in the "NA" regime (default True,
         faithful to the algorithm; disable only for diagnostics).
+    refine_probe / probe_lr:
+        Jointly refine the probe, as gd does (an extension beyond the
+        paper, whose baseline fixes the probe): every position a local
+        sweep evaluates adds its probe gradient, taken at the volume it
+        read; after the voxel exchange one all-reduce sums them and each
+        rank steps its probe copy by ``probe_lr`` (default ``0.5 / N``).
+        On more than one rank a position in a halo contributes once per
+        rank that sweeps it.  This is how the serial solver's ``"sgd"``
+        scheme runs (one rank, no halo); the ``hve`` registry entry does
+        not offer it.
     options / **option_fields:
         The run options as one
         :class:`~repro.runtime.options.RunOptions` (documented there)
@@ -75,10 +89,10 @@ class HaloExchangeReconstructor:
         *redundant* (own + extra) shard; ``batch_size`` is accepted for
         config uniformity but is a no-op — the local solves are
         sequential SGD, whose semantics forbid batching within a rank
-        (pinned by the parity suite); and the probe is never refined,
-        so ``probe_modes`` only enters the forward model: measured
-        intensity is matched against the incoherent sum over the
-        deterministic mode stack expanded from the dataset probe.
+        (pinned by the parity suite); and ``probe_modes > 1`` matches
+        the measured intensity against the incoherent sum over the
+        deterministic mode stack expanded from the dataset probe (with
+        ``refine_probe``, re-orthogonalized after each probe step).
     """
 
     def __init__(
@@ -91,6 +105,8 @@ class HaloExchangeReconstructor:
         halo: Union[str, int] = "exact",
         inner_sweeps: int = 1,
         enforce_tile_constraint: bool = True,
+        refine_probe: bool = False,
+        probe_lr: Optional[float] = None,
         options: Optional[RunOptions] = None,
         **option_fields,
     ) -> None:
@@ -98,6 +114,8 @@ class HaloExchangeReconstructor:
             raise ValueError("iterations must be positive")
         if inner_sweeps <= 0:
             raise ValueError("inner_sweeps must be positive")
+        if refine_probe and probe_lr is not None and probe_lr <= 0:
+            raise ValueError("probe_lr must be positive")
         self.options = RunOptions.of(options, **option_fields)
         self.n_ranks = n_ranks
         self.mesh = mesh
@@ -107,6 +125,8 @@ class HaloExchangeReconstructor:
         self.halo = halo
         self.inner_sweeps = inner_sweeps
         self.enforce_tile_constraint = enforce_tile_constraint
+        self.refine_probe = refine_probe
+        self.probe_lr = probe_lr
 
     # ------------------------------------------------------------------
     def decompose(self, dataset: PtychoDataset) -> Decomposition:
@@ -123,7 +143,8 @@ class HaloExchangeReconstructor:
         )
 
     def build_iteration_schedule(self, decomp: Decomposition) -> Schedule:
-        """One iteration: local solves, barrier, synchronous copy-pastes.
+        """One iteration: local solves, barrier, synchronous copy-pastes
+        (then, under ``refine_probe``, the probe update).
 
         The paste set: for every ordered pair of 8-connected neighbours
         ``(src, dst)``, ``src``'s core voxels overlapping ``dst``'s
@@ -179,16 +200,42 @@ class HaloExchangeReconstructor:
                 )
                 last[src_tile.rank] = uid
                 last[dst] = uid
+        if self.refine_probe:
+            schedule_probe_update(
+                schedule, decomp, last, self.probe_lr, self.options.probe_modes
+            )
         schedule.validate()
         return schedule
 
     # ------------------------------------------------------------------
+    def plan(
+        self,
+        dataset: PtychoDataset,
+        initial_probe: Optional[np.ndarray] = None,
+        initial_volume: Optional[np.ndarray] = None,
+    ) -> EnginePlan:
+        """The launch plan of a run on ``dataset``: its decomposition,
+        one iteration's schedule and the run's options (arguments as in
+        :meth:`reconstruct`)."""
+        decomp = self.decompose(dataset)
+        return EnginePlan(
+            dataset=dataset,
+            decomp=decomp,
+            schedule=self.build_iteration_schedule(decomp),
+            lr=self.lr,
+            initial_probe=initial_probe,
+            refine_probe=self.refine_probe,
+            initial_volume=initial_volume,
+            options=self.options,
+        )
+
     def reconstruct(
         self,
         dataset: PtychoDataset,
         initial_volume: Optional[np.ndarray] = None,
         *,
         observers: Sequence[Observer] = (),
+        initial_probe: Optional[np.ndarray] = None,
     ) -> ReconstructionResult:
         """Run the full reconstruction.
 
@@ -201,18 +248,10 @@ class HaloExchangeReconstructor:
             :class:`~repro.core.observers.IterationEvent`.
         initial_volume:
             Warm-start volume (checkpoint restart); defaults to vacuum.
-            Probe refinement is *not* available for this baseline — the
-            registry adapter rejects it explicitly.
+        initial_probe:
+            Starting probe estimate (defaults to the dataset's probe).
         """
-        decomp = self.decompose(dataset)
-        plan = EnginePlan(
-            dataset=dataset,
-            decomp=decomp,
-            schedule=self.build_iteration_schedule(decomp),
-            lr=self.lr,
-            initial_volume=initial_volume,
-            options=self.options,
-        )
+        plan = self.plan(dataset, initial_probe, initial_volume)
         return run_plan("hve", plan, self.iterations, observers)
 
     # ------------------------------------------------------------------

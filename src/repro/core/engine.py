@@ -27,7 +27,8 @@ engine then reads the missing object pixels as vacuum (1.0) and discards
 gradient contributions outside the tile — exactly the approximation the
 paper justifies by the gradients being "almost zero everywhere outside the
 circle" (Sec. III).  With ``halo="exact"`` no truncation occurs and
-synchronous-mode runs match the serial solver bit-for-bit (tested).
+synchronous-mode runs match the serial reference sweep bit-for-bit
+(tested; the serial solver *is* this engine on one rank).
 
 Sweep plans: every gradient group is compiled once per schedule into
 *plan rows* — one per ``(rank, probe index)``, holding the rank's state,
@@ -174,8 +175,8 @@ class NumericEngine:
         :func:`repro.physics.probe.make_mode_stack`).
     refine_probe:
         Allocate per-rank probe copies + gradient buffers and accumulate
-        probe gradients during compute ops (consumed by
-        :class:`ProbeSync`/:class:`ApplyProbeUpdate`).
+        probe gradients during ``ComputeGradients`` and ``LocalSolve``
+        sweeps (consumed by :class:`ProbeSync`/:class:`ApplyProbeUpdate`).
     initial_volume:
         Warm-start the reconstruction from a full ``(slices, rows, cols)``
         volume (each rank receives its extended-tile restriction);
@@ -668,7 +669,10 @@ class NumericEngine:
         Alg. 1's immediate local step when ``local_update``);
         ``LocalSolve`` is the halo-voxel-exchange local phase: plain SGD
         on the extended tile over own + extra probes, no buffer
-        involvement.  The group shares its first member's probe: every
+        involvement.  Under ``refine_probe`` both accumulate each
+        position's probe gradient — taken at the volume that position
+        read, before its local step — for the next :class:`ProbeSync`.
+        The group shares its first member's probe: every
         rank holds the same probe between :class:`ProbeSync` updates,
         and it changes only between sweeps, so it is permuted into the
         kernel's FFT-native layout once per sweep.
@@ -698,7 +702,7 @@ class NumericEngine:
                 probe,
                 patches,
                 self._measured(rows),
-                compute_probe_grad=self.refine_probe and not solve,
+                compute_probe_grad=self.refine_probe,
                 native_probe=native_probe,
             )
             probe_grad = result.probe_grads

@@ -23,7 +23,8 @@ point roundoff at any rank count (tested).
 
 Steps 3-4 are not this class's own: :func:`run_plan` /
 :func:`run_session` below are the one run driver every solver (gd, hve,
-the serial reference) steps its iterations on.
+and serial, which is either of them on one rank) steps its iterations
+on.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ __all__ = [
     "fold_leg",
     "run_plan",
     "run_session",
+    "schedule_probe_update",
 ]
 
 _PLANNERS: Dict[str, Callable] = {
@@ -186,9 +188,9 @@ def run_session(
     """The one iteration loop: step a launched ``session`` ``iterations``
     times, emit an event per iteration, stitch the final result.
 
-    Every solver runs on this loop — gd and hve through
-    :func:`run_plan`, the serial reference through its own in-process
-    session — so whatever happens at the iteration boundary (tracing,
+    Every solver runs on this loop through :func:`run_plan` (the test
+    suite's hand-written serial reference through its own in-process
+    session), so whatever happens at the iteration boundary (tracing,
     observer events, later a health check) is written once.  The
     session is closed on every exit path, including ``step()`` or an
     observer raising (the service interrupts a leg by raising from one).
@@ -241,9 +243,10 @@ def run_plan(
     ambient one) and run it to completion.
 
     A schedule-compiling solver is ``decompose`` +
-    ``build_iteration_schedule`` + an :class:`EnginePlan` + this call;
-    the plan's ``telemetry`` flag is stamped here from the active
-    recorder so worker processes trace exactly when the caller does.
+    ``build_iteration_schedule`` + an :class:`EnginePlan` (its ``plan``
+    method) + this call; the plan's ``telemetry`` flag is stamped here
+    from the active recorder so worker processes trace exactly when the
+    caller does.
     """
     plan = replace(plan, telemetry=_obs.current().enabled)
     session = resolve_executor(
@@ -252,6 +255,43 @@ def run_plan(
     return run_session(
         solver_name, session, plan.dataset, plan.decomp, iterations, observers
     )
+
+
+def schedule_probe_update(
+    schedule: Schedule,
+    decomp: Decomposition,
+    last: Dict[int, int],
+    probe_lr: Optional[float],
+    probe_modes: Optional[int],
+) -> None:
+    """Append one iteration's probe refinement to ``schedule`` after the
+    volume work (``last``: rank → its latest op uid, advanced here): one
+    probe-gradient all-reduce — the probe is a single small global
+    array — then each rank's step and, for a mode stack, its
+    re-orthogonalization.
+
+    The step is ``probe_lr``, or ``0.5 / N`` by default: the probe
+    gradient is preconditioned by the *object* magnitude (|O| ~ 1 for a
+    transmission function), not the probe intensity, so the object
+    step's ``1/max|p|^2`` factor must not leak in; the sum over all
+    ``N`` probe locations supplies the remaining scale.
+    """
+    lr = probe_lr if probe_lr is not None else 0.5 / max(
+        decomp.scan.n_positions, 1
+    )
+    uid = schedule.add(
+        ProbeSync(n_ranks=decomp.n_ranks), deps=sorted(set(last.values()))
+    )
+    for rank in range(decomp.n_ranks):
+        last[rank] = schedule.add(
+            ApplyProbeUpdate(rank=rank, lr=lr), deps=[uid]
+        )
+        if (probe_modes or 1) > 1:
+            # Never scheduled at M=1, so single-mode schedules stay
+            # identical to scalar ones.
+            last[rank] = schedule.add(
+                OrthogonalizeProbe(rank=rank), deps=[last[rank]]
+            )
 
 
 def _round_chunks(
@@ -427,43 +467,35 @@ class GradientDecompositionReconstructor:
                 uid = schedule.add(ResetBuffer(rank=rank), deps=[uid])
                 last[rank] = uid
         if self.refine_probe:
-            # One probe all-reduce + update per iteration (after the
-            # volume work; the probe is a single small global array).
-            uid = schedule.add(
-                ProbeSync(n_ranks=decomp.n_ranks),
-                deps=sorted(set(last.values())),
+            schedule_probe_update(
+                schedule, decomp, last, self.probe_lr, self.options.probe_modes
             )
-            multi_mode = (self.options.probe_modes or 1) > 1
-            for rank in range(decomp.n_ranks):
-                last[rank] = schedule.add(
-                    ApplyProbeUpdate(
-                        rank=rank, lr=self._resolved_probe_lr(decomp)
-                    ),
-                    deps=[uid],
-                )
-                if multi_mode:
-                    # Mixed-state runs re-orthogonalize the mode stack
-                    # after every probe step; never scheduled at M=1 so
-                    # single-mode schedules stay identical to scalar ones.
-                    last[rank] = schedule.add(
-                        OrthogonalizeProbe(rank=rank), deps=[last[rank]]
-                    )
         schedule.validate()
         return schedule
 
-    def _resolved_probe_lr(self, decomp: Decomposition) -> float:
-        """Probe step size: explicit, or ``0.5 / N``.
-
-        The probe gradient is preconditioned by the *object* magnitude
-        (|O| ~ 1 for a transmission function), not the probe intensity, so
-        the object step's ``1/max|p|^2`` factor must not leak in; the sum
-        over all ``N`` probe locations supplies the remaining scale.
-        """
-        if self.probe_lr is not None:
-            return self.probe_lr
-        return 0.5 / max(decomp.scan.n_positions, 1)
-
     # ------------------------------------------------------------------
+    def plan(
+        self,
+        dataset: PtychoDataset,
+        initial_probe: Optional[np.ndarray] = None,
+        initial_volume: Optional[np.ndarray] = None,
+    ) -> EnginePlan:
+        """The launch plan of a run on ``dataset``: its decomposition,
+        one iteration's schedule and the run's options (arguments as in
+        :meth:`reconstruct`)."""
+        decomp = self.decompose(dataset)
+        return EnginePlan(
+            dataset=dataset,
+            decomp=decomp,
+            schedule=self.build_iteration_schedule(decomp),
+            lr=self.lr,
+            compensate_local=self.compensate_local,
+            initial_probe=initial_probe,
+            refine_probe=self.refine_probe,
+            initial_volume=initial_volume,
+            options=self.options,
+        )
+
     def reconstruct(
         self,
         dataset: PtychoDataset,
@@ -492,16 +524,5 @@ class GradientDecompositionReconstructor:
         initial_volume:
             Warm-start volume (checkpoint restart); defaults to vacuum.
         """
-        decomp = self.decompose(dataset)
-        plan = EnginePlan(
-            dataset=dataset,
-            decomp=decomp,
-            schedule=self.build_iteration_schedule(decomp),
-            lr=self.lr,
-            compensate_local=self.compensate_local,
-            initial_probe=initial_probe,
-            refine_probe=self.refine_probe,
-            initial_volume=initial_volume,
-            options=self.options,
-        )
+        plan = self.plan(dataset, initial_probe, initial_volume)
         return run_plan("gd", plan, self.iterations, observers)

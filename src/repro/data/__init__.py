@@ -5,8 +5,8 @@ Public surface:
 * stores — :class:`DiffractionStore` protocol, the in-memory reference,
   the chunked on-disk implementations, and :func:`open_store` /
   :func:`write_store` resolution;
-* batching — :class:`BatchPlanner` and the ``REPRO_BATCH_SIZE``
-  resolution helpers;
+* batching — the ``REPRO_BATCH_SIZE`` and ``positions`` resolution
+  helpers;
 * streaming — the dynamic-acquisition layer: :class:`StreamingStore`
   (appendable store with WAIT/END_OF_SCAN semantics), the
   :class:`ScanSource` protocol with simulated/replay implementations,
@@ -16,7 +16,6 @@ Public surface:
 
 from repro.data.batching import (
     ENV_BATCH_SIZE,
-    BatchPlanner,
     default_batch_size,
     resolve_batch_size,
     resolve_positions,
@@ -46,7 +45,6 @@ from repro.data.streaming import (
 )
 
 __all__ = [
-    "BatchPlanner",
     "ChunkedNpzStore",
     "DiffractionStore",
     "ENV_BATCH_SIZE",

@@ -1,38 +1,24 @@
-"""Batch planning: grouping scan positions for batched execution.
+"""Run-knob resolution for batched execution and position subsets.
 
-A :class:`BatchPlanner` splits each rank-tile's probe list into
-fixed-size batches that the numeric engine runs through the multislice
-model *as one stack* — one transform over a ``(B, window, window)``
-batch instead of ``B`` separate transforms.  The FFT backends are
-measurably faster on batched stacks (see ``BENCH_backends.json``), so
-this is the hot-path win; the plan itself is pure bookkeeping.
+``batch_size`` is how many probe positions the engine sends through one
+batched multislice call (one transform over a ``(B, window, window)``
+stack instead of ``B`` separate ones).  It resolves like every other
+execution knob: explicit value → ``REPRO_BATCH_SIZE`` environment → 1
+(the per-position reference).  Batching is bit-exact: the engine keeps
+every rank's accumulation in probe order, so batch size 1 *is* the
+historical behaviour, bit for bit.
 
-Planning invariants (property-tested in ``tests/data``):
-
-* every input position appears in exactly one batch;
-* order is preserved (concatenating the batches reproduces the input —
-  required for bit-exact parity with per-position execution, whose
-  accumulation order is the probe order);
-* no batch exceeds ``batch_size`` and none is empty (the final batch may
-  be ragged).
-
-``batch_size`` resolves like every other execution knob: explicit value
-→ ``REPRO_BATCH_SIZE`` environment → 1 (the per-position reference).
-Batch size 1 *is* the historical engine behaviour, bit for bit.
+``positions`` restricts a sweep to a subset of the scan (a streaming
+coverage snapshot); :func:`resolve_positions` validates it.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.core.decomposition import Decomposition
+from typing import Optional, Sequence, Tuple
 
 __all__ = [
-    "BatchPlanner",
     "resolve_batch_size",
     "resolve_positions",
     "default_batch_size",
@@ -74,58 +60,6 @@ def resolve_batch_size(spec: Optional[int] = None) -> int:
     if value <= 0:
         raise ValueError(f"batch_size must be positive, got {spec}")
     return value
-
-
-@dataclass(frozen=True)
-class BatchPlanner:
-    """Order-preserving fixed-size batching of probe index lists."""
-
-    batch_size: int
-
-    def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ValueError(
-                f"batch_size must be positive, got {self.batch_size}"
-            )
-
-    def iter_batches(
-        self, indices: Sequence[int]
-    ) -> Iterator[Tuple[int, ...]]:
-        """Yield consecutive ``<= batch_size`` slices of ``indices``."""
-        b = self.batch_size
-        for start in range(0, len(indices), b):
-            yield tuple(indices[start : start + b])
-
-    def plan(self, indices: Sequence[int]) -> List[Tuple[int, ...]]:
-        """The full batch list for one probe sequence."""
-        return list(self.iter_batches(indices))
-
-    def plan_tiles(
-        self, decomp: "Decomposition"
-    ) -> Dict[int, List[Tuple[int, ...]]]:
-        """Per-rank-tile batch lists over each tile's *own* probes (the
-        gradient-decomposition assignment; rank → batches)."""
-        return {t.rank: self.plan(t.probes) for t in decomp.tiles}
-
-    def n_batches(self, n_positions: int) -> int:
-        """Batches needed for ``n_positions`` probes."""
-        if n_positions <= 0:
-            return 0
-        return -(-n_positions // self.batch_size)
-
-    def plan_covered(
-        self, indices: Sequence[int], covered: Sequence[int]
-    ) -> List[Tuple[int, ...]]:
-        """Batches over the covered subset of ``indices``.
-
-        The streaming driver plans each sweep against a coverage
-        snapshot: positions whose frames have not arrived are skipped,
-        everything else keeps its original order — so the batches
-        partition *exactly* the covered positions (property-tested in
-        ``tests/data/test_stream_properties.py``).
-        """
-        member = frozenset(covered)
-        return self.plan([i for i in indices if i in member])
 
 
 def resolve_positions(

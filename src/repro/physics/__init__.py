@@ -24,7 +24,7 @@ from repro.physics.probe import Probe, ProbeSpec, make_probe
 from repro.physics.propagation import FresnelPropagator
 from repro.physics.potential import SpecimenSpec, make_specimen, pbtio3_unit_cell
 from repro.physics.scan import RasterScan, ScanSpec, probe_window
-from repro.physics.multislice import MultisliceModel, probe_gradient
+from repro.physics.multislice import MultisliceModel
 from repro.physics.dataset import (
     DatasetSpec,
     PtychoDataset,
@@ -49,7 +49,6 @@ __all__ = [
     "ScanSpec",
     "probe_window",
     "MultisliceModel",
-    "probe_gradient",
     "DatasetSpec",
     "PtychoDataset",
     "simulate_dataset",

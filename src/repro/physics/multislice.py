@@ -80,43 +80,10 @@ from repro.physics.probe import as_mode_stack
 from repro.physics.propagation import FresnelPropagator
 from repro.utils.fftutils import fft2u, ifft2u, to_centred, to_native
 
-__all__ = [
-    "MultisliceModel",
-    "GradientResult",
-    "BatchGradientResult",
-    "probe_gradient",
-]
+__all__ = ["MultisliceModel", "BatchGradientResult"]
 
 #: Guard against division by zero where the simulated amplitude vanishes.
 _AMPLITUDE_EPS = 1e-12
-
-
-@dataclass
-class GradientResult:
-    """Output of one probe-location gradient evaluation.
-
-    Attributes
-    ----------
-    object_grad:
-        ``(n_slices, window, window)`` complex array: the individual image
-        gradient ``df_i/d(conj O)`` restricted to the probe window (for a
-        mode stack, summed over modes — the object is shared).
-    cost:
-        The scalar data-fit value ``f_i``.
-    exit_amplitude:
-        ``|Psi|`` at the detector (useful for diagnostics / dose studies);
-        the incoherent amplitude for a mode stack.
-    probe_grad:
-        ``df_i/d(conj p)`` — populated when probe refinement is requested
-        (joint probe/object optimization, an extension beyond the paper).
-        Shape follows the probe: ``(window, window)`` for a scalar probe,
-        ``(M, window, window)`` for a mode stack.
-    """
-
-    object_grad: np.ndarray
-    cost: float
-    exit_amplitude: Optional[np.ndarray] = None
-    probe_grad: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -124,8 +91,7 @@ class BatchGradientResult:
     """Output of one *batched* gradient evaluation (``B`` probe
     locations through the multislice sweep as one stack).
 
-    Per-item values are bit-identical to ``B`` separate
-    :meth:`MultisliceModel.cost_and_gradient` calls — the same kernel at
+    Per-item values are bit-identical to ``B`` separate calls at
     ``B = 1``: pocketfft applies the same 2-D kernels along a batch
     axis, and every other step is elementwise — which is what lets
     batched execution stay fingerprint-identical to the per-position
@@ -277,40 +243,6 @@ class MultisliceModel:
         )
         return residual, costs
 
-    def _evaluate(
-        self, probe, patches, measured, keep_amplitude, compute_probe_grad,
-        native_probe=None,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Forward + adjoint sweep of ``B`` locations, centred out:
-        object gradients ``(B, S, w, w)``, costs ``(B,)`` and, on
-        request, the amplitude ``(B, w, w)`` and the probe gradients
-        ``(M, B, w, w)``."""
-        far_field, obj, incident = self._far_field(
-            probe, patches, native_probe
-        )
-        amplitude = self._amplitude(far_field)
-        residual, costs = self._data_fit(amplitude, measured)
-
-        # Detector-plane adjoint seed d f / d conj(Psi_m).
-        phase = far_field / (amplitude + _AMPLITUDE_EPS)
-        chi = ifft2u(residual * phase, self.backend)
-        single = far_field.shape[0] == 1
-        grads = np.empty_like(obj)
-        for s in range(self.n_slices - 1, -1, -1):
-            if single:
-                np.multiply(np.conj(incident[s][0]), chi[0], out=grads[:, s])
-            else:
-                # The object is shared: mode contributions add.
-                grads[:, s] = np.sum(np.conj(incident[s]) * chi, axis=0)
-            if s > 0:
-                chi = self._prop.adjoint_native(np.conj(obj[:, s]) * chi)
-        probe_grads = None
-        if compute_probe_grad:
-            # d f / d conj(p): one more chain step through slice 0.
-            probe_grads = to_centred(np.conj(obj[:, 0]) * chi)
-        exit_amplitude = to_centred(amplitude) if keep_amplitude else None
-        return to_centred(grads), costs, exit_amplitude, probe_grads
-
     # -- public entry points: centred in, centred out --------------------
     def forward(
         self, probe: np.ndarray, object_patch: np.ndarray
@@ -348,44 +280,11 @@ class MultisliceModel:
         measured_amplitude: np.ndarray,
     ) -> float:
         """Just the data-fit value ``f_i`` (used for convergence curves):
-        bitwise the ``cost`` of :meth:`cost_and_gradient`."""
+        bitwise the cost :meth:`cost_and_gradient_batch` returns for it."""
         far_field = self._far_field(probe, object_patch[None])[0]
         amplitude = self._amplitude(far_field)
         _, costs = self._data_fit(amplitude, measured_amplitude[None])
         return float(costs[0])
-
-    def cost_and_gradient(
-        self,
-        probe: np.ndarray,
-        object_patch: np.ndarray,
-        measured_amplitude: np.ndarray,
-        keep_exit_wave: bool = False,
-        compute_probe_grad: bool = False,
-    ) -> GradientResult:
-        """Evaluate ``f_i`` and its gradient with one forward + one
-        backward multislice sweep.
-
-        The incident waves ``psi_s`` are retained from the forward sweep
-        (O(S) memory in patches), the standard checkpoint-free adjoint.
-
-        A mixed-state ``(M, window, window)`` probe runs the incoherent
-        formulation (per-mode ``probe_grad``); a single-mode stack is
-        bit-for-bit the scalar evaluation.
-        """
-        grads, costs, amplitude, probe_grads = self._evaluate(
-            probe, object_patch[None], measured_amplitude[None],
-            keep_exit_wave, compute_probe_grad,
-        )
-        result = GradientResult(
-            object_grad=grads[0],
-            cost=float(costs[0]),
-            exit_amplitude=None if amplitude is None else amplitude[0],
-        )
-        if probe_grads is not None:
-            probe_grads = probe_grads[:, 0]  # (M, w, w)
-            stacked = np.ndim(probe) == 3
-            result.probe_grad = probe_grads if stacked else probe_grads[0]
-        return result
 
     def cost_and_gradient_batch(
         self,
@@ -396,14 +295,20 @@ class MultisliceModel:
         *,
         native_probe: Optional[np.ndarray] = None,
     ) -> BatchGradientResult:
-        """Evaluate ``B`` probe locations as one batched sweep.
+        """Evaluate ``B`` probe locations as one batched sweep — the one
+        gradient entry point; a single location is the ``B = 1`` stack.
 
         ``object_patches`` is ``(B, n_slices, window, window)`` and
         ``measured_amplitudes`` ``(B, window, window)``; every FFT runs
         once over the whole ``(M, B, window, window)`` stack — the
         batched hot path the data pipeline exists to exploit.  Accepts
         non-contiguous inputs (gathered patch stacks, strided store
-        reads); the layout permutation is the only copy.
+        reads); the layout permutation is the only copy.  The incident
+        waves ``psi_s`` are retained from the forward sweep (O(S) memory
+        in patches), the standard checkpoint-free adjoint.  A mixed-state
+        ``(M, window, window)`` probe runs the incoherent formulation
+        (per-mode probe gradients); a single-mode stack is bit for bit
+        the scalar evaluation.
 
         ``native_probe`` (internal, for callers that evaluate one probe
         over many calls, such as the engine's sweeps) is
@@ -412,13 +317,32 @@ class MultisliceModel:
         only decides the probe-gradient shape.  Results are bitwise
         those without it.
         """
-        grads, costs, _, probe_grads = self._evaluate(
-            probe, object_patches, measured_amplitudes, False,
-            compute_probe_grad, native_probe,
+        far_field, obj, incident = self._far_field(
+            probe, object_patches, native_probe
         )
-        if probe_grads is not None and np.ndim(probe) != 3:
-            probe_grads = probe_grads[0]
-        return BatchGradientResult(grads, costs, probe_grads)
+        amplitude = self._amplitude(far_field)
+        residual, costs = self._data_fit(amplitude, measured_amplitudes)
+
+        # Detector-plane adjoint seed d f / d conj(Psi_m).
+        phase = far_field / (amplitude + _AMPLITUDE_EPS)
+        chi = ifft2u(residual * phase, self.backend)
+        single = far_field.shape[0] == 1
+        grads = np.empty_like(obj)
+        for s in range(self.n_slices - 1, -1, -1):
+            if single:
+                np.multiply(np.conj(incident[s][0]), chi[0], out=grads[:, s])
+            else:
+                # The object is shared: mode contributions add.
+                grads[:, s] = np.sum(np.conj(incident[s]) * chi, axis=0)
+            if s > 0:
+                chi = self._prop.adjoint_native(np.conj(obj[:, s]) * chi)
+        probe_grads = None
+        if compute_probe_grad:
+            # d f / d conj(p): one more chain step through slice 0.
+            probe_grads = to_centred(np.conj(obj[:, 0]) * chi)
+            if np.ndim(probe) != 3:
+                probe_grads = probe_grads[0]
+        return BatchGradientResult(to_centred(grads), costs, probe_grads)
 
     def flops_per_probe(self) -> float:
         """Modeled floating-point work of one cost+gradient evaluation:
@@ -428,20 +352,3 @@ class MultisliceModel:
 
         return multislice_flops(self.window, self.n_slices)
 
-
-def probe_gradient(
-    model: MultisliceModel,
-    probe: np.ndarray,
-    object_patch: np.ndarray,
-    measured_amplitude: np.ndarray,
-) -> np.ndarray:
-    """Gradient of ``f_i`` with respect to ``conj(p)`` (probe refinement).
-
-    Provided as an extension hook (the paper fixes the probe); shares the
-    adjoint machinery of :meth:`MultisliceModel.cost_and_gradient`.
-    """
-    result = model.cost_and_gradient(
-        probe, object_patch, measured_amplitude, compute_probe_grad=True
-    )
-    assert result.probe_grad is not None
-    return result.probe_grad

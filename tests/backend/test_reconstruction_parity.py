@@ -16,6 +16,8 @@ from repro.backend import SINGLE, get_backend
 from repro.baseline.serial import SerialReconstructor
 from repro.core.reconstructor import GradientDecompositionReconstructor
 from repro.physics.dataset import suggest_lr
+from tests.reference.kernel import cost_and_gradient
+from tests.reference.serial import SerialReference
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +35,13 @@ class TestKernelParity:
             :, patch_window[0], patch_window[1]
         ] * np.exp(1j * 0.05)
         measured = tiny_dataset.amplitude(0)
-        r_np = tiny_dataset.multislice_model(backend="numpy").cost_and_gradient(
-            probe, patch, measured
+        r_np = cost_and_gradient(
+            tiny_dataset.multislice_model(backend="numpy"),
+            probe, patch, measured,
         )
-        r_th = tiny_dataset.multislice_model(backend="threaded").cost_and_gradient(
-            probe, patch, measured
+        r_th = cost_and_gradient(
+            tiny_dataset.multislice_model(backend="threaded"),
+            probe, patch, measured,
         )
         scale = np.abs(r_np.object_grad).max()
         assert np.abs(r_np.object_grad - r_th.object_grad).max() < 1e-11 * scale
@@ -48,11 +52,13 @@ class TestKernelParity:
         sl = tiny_dataset.scan.windows[0].global_slices()
         patch = tiny_dataset.ground_truth[:, sl[0], sl[1]] * np.exp(1j * 0.05)
         measured = tiny_dataset.amplitude(0)
-        r_hi = tiny_dataset.multislice_model(dtype="complex128").cost_and_gradient(
-            probe, patch, measured
+        r_hi = cost_and_gradient(
+            tiny_dataset.multislice_model(dtype="complex128"),
+            probe, patch, measured,
         )
-        r_lo = tiny_dataset.multislice_model(dtype="complex64").cost_and_gradient(
-            probe, patch, measured
+        r_lo = cost_and_gradient(
+            tiny_dataset.multislice_model(dtype="complex64"),
+            probe, patch, measured,
         )
         assert r_lo.object_grad.dtype == np.complex64
         scale = np.abs(r_hi.object_grad).max()
@@ -124,7 +130,7 @@ class TestDistributedParity:
             planner="allreduce",
             backend="threaded",
         ).reconstruct(tiny_dataset)
-        r_serial = SerialReconstructor(
+        r_serial = SerialReference(
             iterations=2, lr=lr, backend="threaded"
         ).reconstruct(tiny_dataset)
         np.testing.assert_allclose(

@@ -257,9 +257,19 @@ class TestRefcountLifetime:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("solver", ["gd", "hve"])
+    @pytest.mark.parametrize(
+        "solver, params",
+        [
+            ("gd", {"n_ranks": 4}),
+            ("hve", {"n_ranks": 4}),
+            # One rank, in process by construction; refining, so the
+            # probe ops run too.
+            ("serial", {"scheme": "sgd", "refine_probe": True}),
+        ],
+        ids=["gd", "hve", "serial"],
+    )
     def test_engines_die_when_reconstruct_returns(
-        self, tiny_dataset, monkeypatch, no_gc, solver
+        self, tiny_dataset, monkeypatch, no_gc, solver, params
     ):
         built = []
         init = NumericEngine.__init__
@@ -270,8 +280,8 @@ class TestRefcountLifetime:
 
         monkeypatch.setattr(NumericEngine, "__init__", tracking_init)
         config = repro.ReconstructionConfig(
-            solver, {"n_ranks": 4, "iterations": 2, "lr": 0.02},
-            executor="serial",
+            solver, {**params, "iterations": 2, "lr": 0.02},
+            executor=None if solver == "serial" else "serial",
         )
         repro.reconstruct(tiny_dataset, config)
         assert built

@@ -21,6 +21,7 @@ from repro.physics.dataset import (
     suggest_lr,
 )
 from repro.physics.probe import ProbeSpec, make_probe
+from tests.reference.serial import SerialReference
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +95,7 @@ class TestDistributedRefinement:
         """The consensus (all-reduced) probe gradient makes distributed
         refinement bit-equivalent to serial in synchronous mode."""
         dataset, lr, bad_probe = workload
-        serial = SerialReconstructor(
+        serial = SerialReference(
             iterations=4, lr=lr, refine_probe=True
         ).reconstruct(dataset, initial_probe=bad_probe)
         dist = GradientDecompositionReconstructor(

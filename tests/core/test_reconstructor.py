@@ -7,18 +7,18 @@ solver to floating-point tolerance at every rank count and planner.
 import numpy as np
 import pytest
 
-from repro.baseline.serial import SerialReconstructor
 from repro.core.reconstructor import (
     GradientDecompositionReconstructor,
     ReconstructionResult,
     _round_chunks,
 )
 from repro.parallel.topology import MeshLayout
+from tests.reference.serial import SerialReference
 
 
 @pytest.fixture(scope="module")
 def serial_result(small_dataset, small_lr):
-    return SerialReconstructor(iterations=3, lr=small_lr).reconstruct(
+    return SerialReference(iterations=3, lr=small_lr).reconstruct(
         small_dataset
     )
 

@@ -1,4 +1,5 @@
-"""BatchPlanner unit tests + REPRO_BATCH_SIZE resolution precedence."""
+"""The serial reference's BatchPlanner + REPRO_BATCH_SIZE resolution
+precedence."""
 
 from __future__ import annotations
 
@@ -7,10 +8,10 @@ import pytest
 from repro.core.decomposition import decompose_gradient
 from repro.data import (
     ENV_BATCH_SIZE,
-    BatchPlanner,
     default_batch_size,
     resolve_batch_size,
 )
+from tests.reference.batching import BatchPlanner
 
 
 class TestBatchPlanner:

@@ -64,7 +64,8 @@ class TestConfigFields:
             "serial", {"iterations": 2, "lr": 0.02}, batch_size=6
         )
         solver = solver_from_config(config)
-        assert solver.inner.batch_size == 6
+        # It reaches the one-rank solver whose options the engine reads.
+        assert solver.inner.solver.options.batch_size == 6
 
     def test_injection_rejected_without_opt_in(self):
         from repro.api.registry import register_solver, unregister_solver

@@ -20,6 +20,7 @@ from repro.baseline.serial import SerialReconstructor
 from repro.core.reconstructor import GradientDecompositionReconstructor
 from repro.data import ENV_BATCH_SIZE, write_store
 from tests.helpers import assert_results_identical
+from tests.reference.serial import SerialReference
 
 LR = 0.02
 ITERS = 3
@@ -74,7 +75,7 @@ class TestBatchedVsPerPosition:
 
     @pytest.mark.parametrize("batch_size", [2, 5, 64])
     def test_serial_batch_scheme(self, tiny_dataset, batch_size):
-        reference = SerialReconstructor(
+        reference = SerialReference(
             iterations=ITERS, lr=LR
         ).reconstruct(tiny_dataset)
         batched = SerialReconstructor(
@@ -83,7 +84,7 @@ class TestBatchedVsPerPosition:
         assert_results_identical(reference, batched)
 
     def test_serial_sgd_batching_is_inert(self, tiny_dataset):
-        reference = SerialReconstructor(
+        reference = SerialReference(
             iterations=ITERS, lr=LR, scheme="sgd"
         ).reconstruct(tiny_dataset)
         batched = SerialReconstructor(
@@ -154,7 +155,7 @@ class TestOnDiskVsInMemory:
         assert_results_identical(reference, streamed)
 
     def test_serial(self, tiny_dataset, store_path):
-        reference = SerialReconstructor(
+        reference = SerialReference(
             iterations=ITERS, lr=LR
         ).reconstruct(tiny_dataset)
         streamed = SerialReconstructor(

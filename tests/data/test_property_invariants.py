@@ -15,8 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.decomposition import decompose_gradient  # noqa: E402
-from repro.data import BatchPlanner  # noqa: E402
 from repro.physics.scan import RasterScan, ScanSpec  # noqa: E402
+from tests.reference.batching import BatchPlanner  # noqa: E402
 
 COMMON = settings(max_examples=40, deadline=None, derandomize=True)
 

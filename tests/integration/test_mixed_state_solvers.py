@@ -23,6 +23,7 @@ from repro.core.reconstructor import GradientDecompositionReconstructor
 from repro.physics.dataset import scaled_pbtio3_spec, simulate_dataset
 from repro.schedule.ops import OrthogonalizeProbe
 from tests.helpers import assert_results_identical, result_fingerprint
+from tests.reference.serial import SerialReference
 
 LR = 0.02
 ITERS = 3
@@ -153,12 +154,12 @@ class TestMixedStateReconstruction:
 
     def test_gd_matches_serial_exactly(self, partially_coherent_dataset):
         # One rank, synchronous: the distributed path must equal the
-        # serial reference bit for bit — mode axis included.
+        # hand-written serial sweep bit for bit — mode axis included.
         kw = dict(refine_probe=True, probe_modes=2)
         distributed = gd(n_ranks=1, **kw).reconstruct(
             partially_coherent_dataset
         )
-        serial = SerialReconstructor(
+        serial = SerialReference(
             iterations=ITERS, lr=LR, scheme="batch", **kw
         ).reconstruct(partially_coherent_dataset)
         np.testing.assert_array_equal(

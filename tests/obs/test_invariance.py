@@ -16,6 +16,7 @@ from repro.obs.telemetry import ENV_TRACE, Telemetry, activate
 from repro.physics.multislice import MultisliceModel
 
 from tests.helpers import result_fingerprint
+from tests.reference.kernel import cost_and_gradient
 
 
 def _config(**overrides):
@@ -118,7 +119,7 @@ class TestFftCounterContinuity:
         tel = Telemetry()
         with activate(tel):
             if batch == 1:
-                model.cost_and_gradient(probe, patches[0], measured[0])
+                cost_and_gradient(model, probe, patches[0], measured[0])
             else:
                 model.cost_and_gradient_batch(probe, patches, measured)
         return _fft_counts(tel.counters_snapshot())
