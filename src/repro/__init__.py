@@ -26,11 +26,11 @@ Execution runtime:
 
 Reconstruction-as-a-service:
     :mod:`repro.service` — :class:`repro.service.ReconstructionService`
-    runs submitted configs asynchronously over a bounded worker pool
-    with priority queueing, cancel/pause/resume on durable checkpoints,
-    and live :class:`repro.service.ProgressStream` progress; the
-    ``repro serve`` / ``submit`` / ``jobs`` CLI drives a job directory
-    that survives restarts.
+    runs submitted configs asynchronously, each job leg in its own
+    forked process, with priority queueing, cancel/pause/resume on
+    durable checkpoints, and live :class:`repro.service.ProgressStream`
+    progress; the ``repro serve`` / ``submit`` / ``jobs`` CLI drives a
+    job directory that survives restarts.
 
 Observability:
     :mod:`repro.obs` — zero-dependency telemetry: per-run

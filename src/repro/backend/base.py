@@ -254,8 +254,8 @@ _REGISTRY: Dict[str, Type[ArrayBackend]] = {}
 _INSTANCES: Dict[str, ArrayBackend] = {}
 #: Outstanding :func:`acquire_backend` leases per cached instance.  A
 #: :func:`release_backend` call only closes the instance when the last
-#: lease is returned, so one service job finishing cannot tear down the
-#: plan cache another concurrently-running job is transforming through.
+#: lease is returned, so one holder finishing cannot tear down the plan
+#: cache another thread of the same process is transforming through.
 _REFCOUNTS: Dict[str, int] = {}
 #: Guards every mutation of the registry/instance/refcount tables.
 #: Reentrant: ``acquire_backend`` calls ``get_backend`` under the lock.
@@ -343,7 +343,7 @@ def acquire_backend(spec: Union[str, ArrayBackend]) -> ArrayBackend:
     """Resolve ``spec`` like :func:`get_backend` and take a lease on the
     cached instance.
 
-    Concurrent holders (e.g. service workers running jobs on the same
+    Concurrent holders (threads of one process running jobs on the same
     backend) each acquire their own lease; :func:`release_backend` only
     closes the shared instance when the last lease is returned.  Caller
     contract::

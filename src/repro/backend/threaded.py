@@ -102,9 +102,10 @@ class ThreadedFFTBackend(ArrayBackend):
         self._hits = 0
         self._evictions = 0
         self._closed = False
-        # Concurrent service workers share one registry-cached instance;
-        # the OrderedDict mutations (insert, move_to_end, LRU pop) are
-        # not atomic, so plan lookup/creation and close serialize here.
+        # Threads of one process share one registry-cached instance
+        # (service jobs do not: each leg process builds its own); the
+        # OrderedDict mutations (insert, move_to_end, LRU pop) are not
+        # atomic, so plan lookup/creation and close serialize here.
         # The transforms themselves run outside the lock (scipy releases
         # the GIL), so only the bookkeeping is single-file.
         self._lock = threading.Lock()

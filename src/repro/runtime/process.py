@@ -54,7 +54,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.process_comm import CommChannels, ProcessComm
 
-__all__ = ["ProcessExecutor", "partition_ranks"]
+__all__ = ["ProcessExecutor", "partition_ranks", "start_child"]
 
 logger = logging.getLogger(__name__)
 
@@ -63,23 +63,52 @@ logger = logging.getLogger(__name__)
 # while another thread holds that lock (creating or unlinking a segment
 # or semaphore for a different session) inherits it permanently locked
 # and deadlocks on its first attach.  Serializing every tracker-touching
-# span in this module — the only shm/semaphore user in-process — keeps
-# the lock free at every fork point, so concurrent sessions (e.g. service
-# worker threads) are safe.
+# span in this module — the only shm/semaphore user in-process — with
+# every fork (see :func:`start_child`) keeps the lock free at every fork
+# point, so concurrent sessions and service legs are safe.
 _TRACKER_LOCK = threading.Lock()
 
 
-def _reset_child_tracker_lock() -> None:
-    """Give a freshly forked worker its own resource-tracker lock.
+def start_child(ctx: Any, target: Any, args: tuple, name: str, daemon: bool):
+    """Start ``target(*args)`` in a new process of context ``ctx``.
 
-    The fork snapshots only the calling thread, so a tracker lock held
-    by any other parent thread (a GC finalizer unregistering a SemLock,
-    say) would never be released in the child.  The child is
-    single-threaded here, so replacing the lock is safe; under spawn it
-    is a fresh lock anyway and the swap is a no-op in effect.
+    The one fork site of the package: rank workers and service legs both
+    start here.  Call it holding ``_TRACKER_LOCK``, together with any
+    other step that must not be split from the fork (the service creates
+    a leg's pipe and closes its write end under the same hold).  The
+    child re-creates the module locks it inherited before it runs
+    ``target`` (:func:`_reinit_inherited_locks`).
     """
+    proc = ctx.Process(
+        target=_child_main, args=(target, args), name=name, daemon=daemon
+    )
+    proc.start()
+    return proc
+
+
+def _child_main(target: Any, args: tuple) -> None:
+    _reinit_inherited_locks()
+    target(*args)
+
+
+def _reinit_inherited_locks() -> None:
+    """Give a freshly forked child its own copies of the module locks.
+
+    The fork snapshots only the calling thread, so a lock held at that
+    instant by the forking thread (``_TRACKER_LOCK``, always) or by any
+    other parent thread (the resource tracker's lock under a GC
+    finalizer, the backend registry's ``_LOCK``) would never be released
+    in the child.  The child is single-threaded here, so replacing the
+    locks is safe; under spawn they are fresh anyway and the swap is a
+    no-op in effect.
+    """
+    global _TRACKER_LOCK
     from multiprocessing import resource_tracker
 
+    from repro.backend import base
+
+    _TRACKER_LOCK = threading.Lock()
+    base._LOCK = threading.RLock()
     tracker = getattr(resource_tracker, "_resource_tracker", None)
     if tracker is not None and hasattr(tracker, "_lock"):
         tracker._lock = threading.RLock()
@@ -135,7 +164,6 @@ def _worker_main(
     from repro.core.engine import NumericEngine  # after fork/spawn import
     from repro.data import DiffractionStore
 
-    _reset_child_tracker_lock()
     # Worker-lifetime recorder: the engine binds it at construction, so
     # every op span / fft counter lands here and ships home with each
     # step report (the scope ends with the process; no __exit__ needed).
@@ -195,8 +223,16 @@ def _worker_main(
         )
         results.put(("ready", worker_index, None))
 
+        session_pid = os.getppid()
         while True:
-            cmd = control.get()
+            try:
+                cmd = control.get(timeout=1.0)
+            except queue_mod.Empty:
+                # A session process killed outright sends no "stop";
+                # outliving it would strand this worker for good.
+                if os.getppid() != session_pid:
+                    break
+                continue
             if cmd == "stop":
                 break
             engine.execute(plan.schedule)
@@ -311,9 +347,10 @@ class _ProcessSession(ExecutionSession):
                 self._results = ctx.Queue()
 
                 for w, hosted in enumerate(self._blocks):
-                    proc = ctx.Process(
-                        target=_worker_main,
-                        args=(
+                    self._procs.append(start_child(
+                        ctx,
+                        _worker_main,
+                        (
                             w,
                             hosted,
                             plan,
@@ -325,11 +362,9 @@ class _ProcessSession(ExecutionSession):
                             self._results,
                             self._timeout,
                         ),
-                        daemon=True,
                         name=f"repro-rank-worker-{w}",
-                    )
-                    proc.start()
-                    self._procs.append(proc)
+                        daemon=True,
+                    ))
 
             self._messages = 0
             self._message_bytes = 0

@@ -4,7 +4,8 @@ library's solver/backend/executor registries.
 The pieces (one module each):
 
 * :class:`ReconstructionService` / :class:`JobHandle` — the job system:
-  a bounded worker pool draining a queue, with submit / status / cancel
+  supervisor threads draining a queue, each running a job's leg in its
+  own forked process, with submit / status / cancel
   / pause / resume / result / list lifecycle and durable on-disk state
   (a restarted service over the same root picks up where it left off).
 * :class:`JobQueue` — deterministic priority scheduling with aging-based

@@ -6,9 +6,11 @@ reconstruction's ``observers=[...]`` list); each event becomes one
 iteration rate and ETA — that clients can **poll** (:meth:`ProgressStream.
 poll` returns the latest update without blocking) or **subscribe** to
 (:meth:`ProgressStream.subscribe` yields every update as it arrives,
-the live-plot-client shape).  The service additionally mirrors each
-update to ``progress.json`` in the job directory so a *different
-process* (the ``jobs`` CLI) can watch a run it does not host.
+the live-plot-client shape).  In the service, a job's leg process
+mirrors each update to ``progress.json`` in the job directory, so a
+*different process* (the ``jobs`` CLI) can watch a run it does not
+host, and sends it to the service, which hands it to the job's stream
+through :meth:`ProgressStream.publish`.
 
 Updates count iterations **globally**: a resumed job leg passes the
 iterations already banked by earlier legs as ``offset``, so a client
@@ -111,7 +113,7 @@ class ProgressStream:
         done = self.offset + leg_done
         remaining = max(self.total - done, 0)
         tel = _obs.current()
-        update = ProgressUpdate(
+        self.publish(ProgressUpdate(
             job_id=self.job_id,
             iteration=done,
             total=self.total,
@@ -123,7 +125,12 @@ class ProgressStream:
             dtype=self.dtype,
             phase=tel.phase_label() if tel.enabled else None,
             coverage=event.coverage,
-        )
+        ))
+
+    def publish(self, update: ProgressUpdate) -> None:
+        """Record ``update`` (built here from an event, or received from
+        the process that ran the iteration), wake the subscribers and
+        refresh the mirror."""
         with self._cond:
             self._updates.append(update)
             self._cond.notify_all()

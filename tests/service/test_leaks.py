@@ -1,7 +1,9 @@
-"""Resource hygiene: after the pool drains, no backend leases and no
-store file handles or mappings remain — the leak class the refcounted
-backend registry (and per-job store ownership) exists to prevent."""
+"""Resource hygiene: after the pool drains, no backend leases, no leg
+processes, no pipe ends and no store file handles or mappings remain —
+the leak class per-job store ownership and per-leg processes must not
+reintroduce."""
 
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -10,9 +12,24 @@ from repro.backend import backend_refcount
 from repro.data import write_store
 from repro.service import JobState
 
+from tests.helpers import result_fingerprint
 from tests.service.service_configs import gd_config, held_worker, hve_config
 
 WAIT = 120.0
+
+
+def fd_count():
+    """How many file descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_nothing_held(service, fds_before):
+    """A settled, closed service leaves no leg process, no lease and no
+    descriptor behind (its pipes and its root lock included)."""
+    assert multiprocessing.active_children() == []
+    assert backend_refcount() == {}
+    service.close()
+    assert fd_count() == fds_before
 
 
 def open_fds_for(path):
@@ -42,6 +59,7 @@ class TestBackendLeases:
     def test_no_leases_after_drain(
         self, tiny_dataset, tiny_lr, service_factory
     ):
+        fds_before = fd_count()
         service = service_factory(workers=2)
         handles = [
             service.submit(tiny_dataset, gd_config(tiny_lr, iterations=3)),
@@ -51,13 +69,14 @@ class TestBackendLeases:
         for handle in handles:
             assert handle.wait(timeout=WAIT) == JobState.DONE
         assert service.drain(timeout=WAIT)
-        assert backend_refcount() == {}
+        assert_nothing_held(service, fds_before)
 
     def test_no_leases_after_cancel(
         self, tiny_dataset, tiny_lr, service_factory
     ):
-        # The release runs in the leg's finally block, so an interrupted
-        # job must not strand its lease either.
+        # An interrupted leg unwinds through the same exit as a finished
+        # one, so it must not strand its process or pipe either.
+        fds_before = fd_count()
         service = service_factory(workers=1)
         with held_worker(service, tiny_dataset, tiny_lr):
             handle = service.submit(
@@ -66,14 +85,27 @@ class TestBackendLeases:
             handle.cancel(at_iteration=2)
         assert handle.wait(timeout=WAIT) == JobState.CANCELLED
         assert service.drain(timeout=WAIT)
-        assert backend_refcount() == {}
+        assert_nothing_held(service, fds_before)
 
-    def test_threaded_backend_shared_across_concurrent_jobs(
+    def test_no_processes_after_failed_leg(
         self, tiny_dataset, tiny_lr, service_factory
     ):
-        # Two jobs on the threaded backend overlap on one worker pair;
-        # the shared plan cache must survive the first job's completion
-        # (the satellite fix) and the lease table must end empty.
+        fds_before = fd_count()
+        service = service_factory(workers=1)
+        config = gd_config(tiny_lr, iterations=3).with_data(
+            data_source="/nonexistent/meas.npz"
+        )
+        handle = service.submit(tiny_dataset, config)
+        assert handle.wait(timeout=WAIT) == JobState.FAILED
+        assert "meas.npz" in handle.record().error
+        assert service.drain(timeout=WAIT)
+        assert_nothing_held(service, fds_before)
+
+    def test_threaded_backend_jobs_in_processes(
+        self, tiny_dataset, tiny_lr, service_factory
+    ):
+        # Each leg process builds its own threaded backend (and plan
+        # cache); overlapping jobs still each equal a direct run.
         configs = [
             gd_config(tiny_lr, iterations=4).with_compute(
                 backend="threaded", dtype="complex128"
@@ -87,6 +119,9 @@ class TestBackendLeases:
             assert state == JobState.DONE, handle.record().error
         assert service.drain(timeout=WAIT)
         assert backend_refcount() == {}
+        direct = result_fingerprint(reconstruct(tiny_dataset, configs[0]))
+        for handle in handles:
+            assert result_fingerprint(handle.result()) == direct
 
 
 class TestStoreHandles:
