@@ -5,7 +5,7 @@ read concurrently from other processes and must survive a crash
 mid-write — so every write under ``repro/service`` and ``repro/io``
 must flow through :mod:`repro.utils.atomicio` (tmp sibling +
 ``os.replace``).  A raw ``open(path, "w")``, ``Path.write_text``,
-``json.dump`` or ``np.savez*`` in those trees is a torn-file bug
+``json.dump`` or ``np.save*`` in those trees is a torn-file bug
 waiting for a crash.
 
 Writes lexically inside a ``with atomic_output(...)`` block are the
@@ -31,7 +31,6 @@ RULES = {
 SCOPES = ("src/repro/service/", "src/repro/io/")
 
 _WRITE_METHODS = {"write_text", "write_bytes"}
-_SAVEZ_METHODS = {"save", "savez", "savez_compressed"}
 
 HINT = (
     "route the write through repro.utils.atomicio "
@@ -106,7 +105,7 @@ def _check_file(pf: ParsedFile) -> Iterator[Finding]:
             and func.value.id == "json"
         ):
             finding = "json.dump() writes in place in a durable directory"
-        elif isinstance(func, ast.Attribute) and func.attr in _SAVEZ_METHODS:
+        elif isinstance(func, ast.Attribute) and func.attr.startswith("save"):
             base = func.value
             if isinstance(base, ast.Name) and base.id in ("np", "numpy"):
                 if node.args and _is_tmp_target(node.args[0]):

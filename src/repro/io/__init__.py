@@ -1,4 +1,4 @@
-"""Dataset and result persistence (compressed .npz archives)."""
+"""Dataset and result persistence (stored, uncompressed .npz archives)."""
 
 from repro.io.storage import (
     ResultArchive,

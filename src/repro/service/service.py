@@ -862,16 +862,20 @@ class ReconstructionService:
             raise
         finally:
             proc.join()
-            exitcode = proc.exitcode
             with self._cond:
                 self._legs.pop(job_id, None)
-            proc.close()
             stream.close()
             with _process._TRACKER_LOCK:
+                # A fork on another supervisor thread reaps finished
+                # children (multiprocessing's _cleanup) under this lock.
+                # If it reaped this leg, join() returned before the exit
+                # code was recorded; under the lock it is recorded.
+                exitcode = proc.exitcode
                 self._leg_readers.discard(reader)
                 # Under the fork lock, like the pipe's creation: a leg
                 # forked meanwhile must not inherit a stale read end.
                 reader.close()  # repro-lint: allow[lock-blocking]
+            proc.close()
         record = jobstore.load_record(self.root, job_id)  # the leg's writes
         if final is None:
             if self._abandon:

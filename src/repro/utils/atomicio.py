@@ -34,7 +34,7 @@ def atomic_output(path: Union[str, Path]) -> Iterator[Path]:
 
         with atomic_output(directory / "result.npz") as tmp:
             with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **payload)
+                np.savez(fh, **payload)
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")

@@ -105,6 +105,23 @@ class TestAtomicWrite:
         })
         assert len(run(rules=["atomic-write"])) == 2
 
+    def test_violation_every_numpy_save_writer(self, make_tree):
+        run = make_tree({
+            "src/repro/io/dump.py": _src(
+                """
+                import numpy as np
+
+                def save(path, payload):
+                    np.save(path, payload["a"])
+                    np.savez(path, **payload)
+                    np.savez_compressed(path, **payload)
+                    np.savetxt(path, payload["a"])
+                """
+            ),
+        })
+        findings = run(rules=["atomic-write"])
+        assert [f.line for f in findings] == [4, 5, 6, 7]
+
     def test_conforming_atomic_output_block(self, make_tree):
         run = make_tree({
             "src/repro/io/dump.py": _src(

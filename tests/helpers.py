@@ -10,11 +10,17 @@ regression suite (``tests/golden``): a reconstruction is reduced to
 SHA-256 digests of its exact bytes plus its traffic counters, so "these
 two runs are identical" and "this run still matches the committed
 golden" are literally the same comparison.
+
+``deflate_archive`` rewrites an archive in the deflated format every
+archive had before the writer switched to stored members, so the
+legacy-load and upgrade-path tests can build old archives on demand.
 """
 
 from __future__ import annotations
 
 import hashlib
+import zipfile
+from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
@@ -37,6 +43,21 @@ def array_sha256(array: np.ndarray) -> str:
     digest.update(f"{array.dtype.str}:{array.shape}:".encode())
     digest.update(array.tobytes())
     return digest.hexdigest()
+
+
+def zip_compress_types(path: Path) -> set:
+    """The set of zip compression methods used by an archive's members."""
+    with zipfile.ZipFile(path) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+def deflate_archive(path: Path) -> None:
+    """Rewrite an ``.npz`` archive in place with every member deflated,
+    as ``np.savez_compressed`` wrote archives before they were stored."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    np.savez_compressed(path, **members)
+    assert zip_compress_types(path) == {zipfile.ZIP_DEFLATED}
 
 
 def result_fingerprint(result: ReconstructionResult) -> Dict[str, object]:

@@ -1,12 +1,18 @@
 """Dataset/result persistence."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
+from repro import ReconstructionConfig, reconstruct
+from repro.api import CheckpointPolicy
 from repro.baseline.serial import SerialReconstructor
 from repro.core.reconstructor import GradientDecompositionReconstructor
 from repro.io import load_dataset, load_result, save_dataset, save_result
 from repro.physics.dataset import suggest_lr
+
+from tests.helpers import deflate_archive, zip_compress_types
 
 
 class TestDatasetRoundtrip:
@@ -141,6 +147,74 @@ class TestProbeShapeDiscrimination:
         )
         np.testing.assert_array_equal(resumed.volume, straight.volume)
         np.testing.assert_array_equal(resumed.probe, straight.probe)
+
+
+class TestArchiveFormat:
+    """Every archive is written with stored (uncompressed) members, and
+    deflated archives from before the switch still load unchanged."""
+
+    def test_dataset_members_are_stored(self, tiny_dataset, tmp_path):
+        path = save_dataset(tmp_path / "ds.npz", tiny_dataset)
+        assert zip_compress_types(path) == {zipfile.ZIP_STORED}
+
+    def test_result_members_are_stored(
+        self, tiny_dataset, tiny_lr, tmp_path
+    ):
+        result = GradientDecompositionReconstructor(
+            n_ranks=2, iterations=1, lr=tiny_lr, refine_probe=True
+        ).reconstruct(tiny_dataset)
+        path = save_result(tmp_path / "rec.npz", result)
+        assert zip_compress_types(path) == {zipfile.ZIP_STORED}
+
+    def test_checkpoint_members_are_stored(
+        self, tiny_dataset, tiny_lr, tmp_path
+    ):
+        config = ReconstructionConfig(
+            "gd", {"n_ranks": 2, "iterations": 2, "lr": tiny_lr}
+        )
+        policy = CheckpointPolicy(tmp_path / "ck", every=1, config=config)
+        reconstruct(tiny_dataset, config, observers=[policy])
+        assert len(policy.saved_paths) == 2
+        for path in policy.saved_paths:
+            assert zip_compress_types(path) == {zipfile.ZIP_STORED}
+
+    def test_deflated_dataset_loads_identically(
+        self, tiny_dataset, tmp_path
+    ):
+        path = save_dataset(tmp_path / "ds.npz", tiny_dataset)
+        stored = load_dataset(path)
+        deflate_archive(path)
+        legacy = load_dataset(path)
+        assert legacy.spec == stored.spec
+        np.testing.assert_array_equal(legacy.amplitudes, stored.amplitudes)
+        np.testing.assert_array_equal(
+            legacy.probe.array, stored.probe.array
+        )
+        np.testing.assert_array_equal(
+            legacy.ground_truth, stored.ground_truth
+        )
+
+    def test_deflated_result_loads_identically(
+        self, tiny_dataset, tiny_lr, tmp_path
+    ):
+        result = GradientDecompositionReconstructor(
+            n_ranks=2, iterations=2, lr=tiny_lr, refine_probe=True
+        ).reconstruct(tiny_dataset)
+        config = ReconstructionConfig(
+            "gd", {"n_ranks": 2, "iterations": 2, "lr": tiny_lr}
+        )
+        path = save_result(tmp_path / "rec.npz", result, config=config)
+        stored = load_result(path)
+        deflate_archive(path)
+        legacy = load_result(path)
+        np.testing.assert_array_equal(legacy.volume, stored.volume)
+        np.testing.assert_array_equal(legacy.probe, stored.probe)
+        assert legacy.history == stored.history
+        assert legacy.messages == stored.messages
+        assert legacy.message_bytes == stored.message_bytes
+        assert legacy.peak_memory_per_rank == stored.peak_memory_per_rank
+        assert legacy.n_ranks == stored.n_ranks
+        assert legacy.config == stored.config
 
 
 class TestValidation:

@@ -15,7 +15,7 @@ from repro import reconstruct
 from repro.service import JobError, JobState, load_record, prepare_resume
 from repro.service import jobs as jobstore
 
-from tests.helpers import result_fingerprint
+from tests.helpers import deflate_archive, result_fingerprint
 from tests.service.service_configs import gd_config, held_worker, hve_config
 
 WAIT = 120.0
@@ -173,6 +173,33 @@ class TestCancelSemantics:
         prepare_resume(root, job_id)
         with ReconstructionService(root, workers=1) as second:
             assert second.wait(job_id, timeout=WAIT) == JobState.DONE
+            archive = second.result(job_id)
+        direct = reconstruct(tiny_dataset, config)
+        assert result_fingerprint(archive) == result_fingerprint(direct)
+
+    def test_job_root_with_deflated_archives_resumes(
+        self, tiny_dataset, tiny_lr, tmp_path
+    ):
+        # Job roots written before archives were stored hold deflated
+        # dataset.npz / seed.npz files; such a cancelled job must still
+        # resume to the uninterrupted run's exact result.
+        from repro.service import ReconstructionService
+
+        root = tmp_path / "jobs"
+        config = gd_config(tiny_lr, iterations=8)
+        with ReconstructionService(root, workers=1) as first:
+            with held_worker(first, tiny_dataset, tiny_lr):
+                handle = first.submit(tiny_dataset, config)
+                handle.cancel(at_iteration=3)
+            assert handle.wait(timeout=WAIT) == JobState.CANCELLED
+            job_id = handle.job_id
+        directory = jobstore.job_dir(root, job_id)
+        for name in ("dataset.npz", "seed.npz"):
+            deflate_archive(directory / name)
+        prepare_resume(root, job_id)
+        with ReconstructionService(root, workers=1) as second:
+            assert second.wait(job_id, timeout=WAIT) == JobState.DONE, \
+                load_record(root, job_id).error
             archive = second.result(job_id)
         direct = reconstruct(tiny_dataset, config)
         assert result_fingerprint(archive) == result_fingerprint(direct)

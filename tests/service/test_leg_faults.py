@@ -1,7 +1,8 @@
 """Leg-process faults: a leg killed mid-run, a service closed with a leg
 still running, and a service that dies under its legs.  Each ends with
 no orphaned process, and the job finishes from its newest periodic
-checkpoint, fingerprint-identical to an uninterrupted run."""
+checkpoint, fingerprint-identical to an uninterrupted run.  A leg reaped
+by another thread's fork settles as if its own supervisor reaped it."""
 
 import multiprocessing
 import os
@@ -9,12 +10,15 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+from multiprocessing import popen_fork
 from pathlib import Path
 
 from repro import reconstruct
 from repro.backend.base import default_backend_name, default_dtype_name
 from repro.io import save_dataset
+from repro.runtime import process as runtime_process
 from repro.service import JobState, ReconstructionService, load_record
 from repro.service import jobs as jobstore
 
@@ -106,6 +110,47 @@ class TestKilledLeg:
         direct = reconstruct(tiny_dataset, config)
         assert result_fingerprint(handle.result()) == \
             result_fingerprint(direct)
+
+
+class TestLegReapedElsewhere:
+    def test_leg_reaped_by_another_fork_settles_done(
+        self, tiny_dataset, tiny_lr, service_factory, monkeypatch
+    ):
+        # Every fork runs multiprocessing's _cleanup, which reaps finished
+        # children, under the fork lock.  When that reaps a leg while the
+        # leg's supervisor waits in join(), join() returns before the exit
+        # code is recorded.  Replay that interleaving on the leg's join.
+        original_wait = popen_fork.Popen.wait
+        service_pid = os.getpid()
+        others = []
+
+        def wait_reaped_elsewhere(popen, timeout=None):
+            # Only the service's first join: not a leg's own joins of
+            # its rank workers (the fork copies the patch into the leg).
+            if others or os.getpid() != service_pid:
+                return original_wait(popen, timeout)
+            reaped = threading.Event()
+
+            def other_fork():
+                with runtime_process._TRACKER_LOCK:
+                    _, status = os.waitpid(popen.pid, 0)
+                    reaped.set()
+                    time.sleep(0.2)
+                    popen.returncode = os.waitstatus_to_exitcode(status)
+
+            others.append(threading.Thread(target=other_fork))
+            others[0].start()
+            reaped.wait()
+            return original_wait(popen, timeout)  # ECHILD: None
+
+        monkeypatch.setattr(popen_fork.Popen, "wait", wait_reaped_elsewhere)
+        service = service_factory(workers=1)
+        handle = service.submit(tiny_dataset, gd_config(tiny_lr, iterations=2))
+        state = handle.wait(timeout=WAIT)
+        (other,) = others
+        other.join()
+        assert state == JobState.DONE, handle.record().error
+        assert multiprocessing.active_children() == []
 
 
 class TestBoundedShutdown:

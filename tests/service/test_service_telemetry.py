@@ -85,8 +85,14 @@ class TestProgressMirror:
         self, tiny_dataset, tiny_lr, service_factory
     ):
         service = service_factory(workers=1)
+        # Pin the compute the assertions expect: an unpinned config runs
+        # on REPRO_BACKEND or the in-process default (ambient pinning is
+        # test_service.py's test_ambient_compute_is_pinned_at_run_time).
         handle = service.submit(
-            tiny_dataset, gd_config(tiny_lr).with_telemetry()
+            tiny_dataset,
+            gd_config(tiny_lr)
+            .with_compute(backend="numpy", dtype="complex128")
+            .with_telemetry(),
         )
         assert handle.wait(timeout=WAIT) == JobState.DONE
         update = read_progress(
@@ -103,7 +109,9 @@ class TestProgressMirror:
         self, tiny_dataset, tiny_lr, service_factory
     ):
         service = service_factory(workers=1)
-        handle = service.submit(tiny_dataset, gd_config(tiny_lr))
+        handle = service.submit(
+            tiny_dataset, gd_config(tiny_lr).with_compute(backend="numpy")
+        )
         assert handle.wait(timeout=WAIT) == JobState.DONE
         update = read_progress(
             jobstore.job_dir(service.root, handle.job_id) / "progress.json"
