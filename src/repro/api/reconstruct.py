@@ -10,6 +10,7 @@ registration.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -18,9 +19,9 @@ from repro.api.config import ReconstructionConfig
 from repro.api.registry import solver_from_config
 from repro.backend.base import resolve_backend, resolve_precision
 from repro.data import open_store, resolve_batch_size
-from repro.core.observers import Observer
-from repro.core.reconstructor import ReconstructionResult
-from repro.io.storage import load_result
+from repro.core.observers import IterationEvent, Observer, dispatch
+from repro.core.reconstructor import ReconstructionResult, fold_leg
+from repro.io.storage import ResultArchive, load_result
 from repro.obs import telemetry as _obs
 from repro.physics.dataset import PtychoDataset
 from repro.runtime.executor import default_executor_name, get_executor
@@ -28,7 +29,7 @@ from repro.runtime.executor import default_executor_name, get_executor
 __all__ = ["reconstruct", "ResumeMismatchError", "RUN_PARAM_KEYS"]
 
 #: run_params keys :func:`reconstruct` understands.
-RUN_PARAM_KEYS = frozenset({"resume", "resume_unchecked", "stream_offset"})
+RUN_PARAM_KEYS = frozenset({"resume", "resume_unchecked"})
 
 
 class ResumeMismatchError(ValueError):
@@ -73,6 +74,15 @@ def reconstruct(
         ``run_params={"resume": "result.npz"}`` instead (an explicit
         ``initial_volume`` argument wins over ``resume``).
 
+    A ``resume`` continues the archive's run: ``solver_params
+    ["iterations"]`` counts the iterations still to run, and the
+    returned result — like every event's ``snapshot()``, hence every
+    checkpoint — carries the archive's ledger (history, traffic, memory
+    peaks) folded in, so it describes the whole run, as the
+    uninterrupted run's would.  A resumed streamed run fast-forwards
+    its scan source past the archive's iterations.  Event scalars
+    (``iteration``, ``messages``, ...) stay counted from this call.
+
     Raises
     ------
     UnknownSolverError
@@ -105,11 +115,6 @@ def reconstruct(
             f"unknown run_params key(s) {sorted(unknown)}; "
             f"supported: {sorted(RUN_PARAM_KEYS)}"
         )
-    if "stream_offset" in config.run_params and config.scan_source is None:
-        raise ValueError(
-            "run_params['stream_offset'] only applies to streamed runs "
-            "(set config.scan_source)"
-        )
     # Fail fast on an unrunnable compute/runtime configuration —
     # including the ambient (None → environment) resolutions, so a
     # REPRO_EXECUTOR typo surfaces here, not after dataset decomposition.
@@ -138,6 +143,7 @@ def reconstruct(
         config
     )
     resume = config.run_params.get("resume")
+    prior: Optional[ResultArchive] = None
     if initial_volume is None and resume is not None:
         archive = load_result(resume)
         if archive.config is not None and not config.run_params.get(
@@ -160,12 +166,15 @@ def reconstruct(
                     "configs deliberately"
                 )
         initial_volume = archive.volume
+        prior = archive
         # A refined probe archived with the checkpoint is part of the
         # optimization state; forwarding it makes resume bit-exact for
         # probe-refining runs instead of silently restarting the probe
         # from the dataset's nominal one.
         if initial_probe is None and archive.probe is not None:
             initial_probe = archive.probe
+    if prior is not None and observers:
+        observers = (_continuing(observers, prior),)
     # A recorder already activated by the caller (the CLI's --trace, a
     # service worker) is reused so its spans and the run's spans land on
     # one timeline; otherwise the usual precedence applies — explicit
@@ -180,19 +189,22 @@ def reconstruct(
             # sibling registry, so a top-level import would be circular.
             from repro.api.streaming import run_streaming
 
-            return run_streaming(
+            leg = run_streaming(
                 dataset,
                 cfg,
                 observers=observers,
                 initial_probe=initial_probe,
                 initial_volume=initial_volume,
+                offset=len(prior.history) if prior is not None else 0,
             )
-        return solver.reconstruct(
-            dataset,
-            observers=observers,
-            initial_probe=initial_probe,
-            initial_volume=initial_volume,
-        )
+        else:
+            leg = solver.reconstruct(
+                dataset,
+                observers=observers,
+                initial_probe=initial_probe,
+                initial_volume=initial_volume,
+            )
+        return fold_leg(leg, prior)
 
     ambient = _obs.current()
     if ambient.enabled:
@@ -206,3 +218,20 @@ def reconstruct(
         result.telemetry = tel.summary()
         return result
     return _run()
+
+
+def _continuing(
+    observers: Sequence[Observer], prior: ResultArchive
+) -> Observer:
+    """One observer relaying events to ``observers`` with ``prior``'s
+    ledger folded into each ``snapshot()``."""
+
+    def relay(event: IterationEvent) -> None:
+        dispatch(
+            observers,
+            replace(
+                event, snapshot=lambda: fold_leg(event.snapshot(), prior)
+            ),
+        )
+
+    return relay

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,60 +51,34 @@ from repro.physics.dataset import PtychoDataset
 __all__ = ["run_streaming"]
 
 
-class _Bank:
-    """Accumulates completed-epoch results into one leg-global view."""
-
-    def __init__(self) -> None:
-        self.history: List[float] = []
-        self.messages = 0
-        self.message_bytes = 0
-        self.peaks: List[int] = []
-        self.elapsed_s = 0.0
-
-    def deposit(self, result: ReconstructionResult, elapsed_s: float) -> None:
-        total = self.merge(result)
-        self.history = total.history
-        self.messages = total.messages
-        self.message_bytes = total.message_bytes
-        self.peaks = total.peak_memory_per_rank
-        self.elapsed_s += elapsed_s
-
-    def merge(self, partial: ReconstructionResult) -> ReconstructionResult:
-        """A leg-global result: banked epochs + an epoch-partial tail."""
-        return fold_leg(
-            partial,
-            self.history,
-            self.messages,
-            self.message_bytes,
-            self.peaks,
-        )
-
-
 class _EpochRelay:
     """Re-emits one epoch's events as leg-global events.
 
     Downstream observers (progress streams, checkpoint policies, the
     service leg controller) see iteration numbers counted across the
-    whole leg, cumulative traffic, merged snapshots, and the coverage
+    whole leg, cumulative traffic, snapshots folded onto ``prior`` (the
+    epochs before this one, ``None`` for the first) and the coverage
     fraction — so they work on streamed runs unchanged.
     """
 
     def __init__(
         self,
         observers: Tuple[Observer, ...],
-        bank: _Bank,
+        prior: Optional[ReconstructionResult],
+        elapsed_s: float,
         it_offset: int,
         n_iterations: int,
         coverage: float,
     ) -> None:
         self.observers = observers
-        self.bank = bank
+        self.prior = prior
+        self.elapsed_s = elapsed_s
         self.it_offset = it_offset
         self.n_iterations = n_iterations
         self.coverage = coverage
 
     def __call__(self, event: IterationEvent) -> None:
-        bank = self.bank
+        prior = self.prior
         dispatch(
             self.observers,
             IterationEvent(
@@ -112,11 +86,12 @@ class _EpochRelay:
                 iteration=self.it_offset + event.iteration,
                 n_iterations=self.n_iterations,
                 cost=event.cost,
-                elapsed_s=bank.elapsed_s + event.elapsed_s,
-                messages=bank.messages + event.messages,
-                message_bytes=bank.message_bytes + event.message_bytes,
+                elapsed_s=self.elapsed_s + event.elapsed_s,
+                messages=event.messages + (prior.messages if prior else 0),
+                message_bytes=event.message_bytes
+                + (prior.message_bytes if prior else 0),
                 peak_memory_bytes=event.peak_memory_bytes,
-                snapshot=lambda: bank.merge(event.snapshot()),
+                snapshot=lambda: fold_leg(event.snapshot(), prior),
                 coverage=self.coverage,
             ),
         )
@@ -178,11 +153,17 @@ def run_streaming(
     *,
     initial_probe: Optional[np.ndarray] = None,
     initial_volume: Optional[np.ndarray] = None,
+    offset: int = 0,
 ) -> ReconstructionResult:
     """Execute a streamed reconstruction (see module docstring).
 
     Called by :func:`repro.api.reconstruct.reconstruct` when
     ``config.scan_source`` is set; not normally invoked directly.
+    ``offset`` is how many iterations a resumed run's archive had
+    already run: the feeder fast-forwards its sweep clock by it, so
+    the sweep-keyed waves that had arrived before the interrupt are
+    re-delivered up front, deterministically rebuilding the frame
+    journal the interrupted run had seen.
     """
     policy = StreamPolicy.from_mapping(config.stream_policy)
     source: ScanSource = build_scan_source(
@@ -204,21 +185,13 @@ def run_streaming(
     total = int(config.solver_params.get("iterations", 10))
     if total <= 0:
         raise ValueError("iterations must be positive")
-    # A resumed service leg passes the iterations already banked by
-    # earlier legs so the feeder fast-forwards its sweep clock — the
-    # sweep-keyed waves that had arrived before the interrupt are
-    # re-delivered up front, deterministically rebuilding the frame
-    # journal the interrupted leg had seen.
-    stream_offset = int(config.run_params.get("stream_offset", 0))
-    if stream_offset < 0:
-        raise ValueError("stream_offset must be >= 0")
 
     store = StreamingStore(
         source.n_probes, source.detector_px, source.frame_dtype
     )
     feeder = StreamFeeder(source, store)
     tel = _obs.current()
-    bank = _Bank()
+    elapsed_s = 0.0
     run_observers = tuple(observers)
     volume = initial_volume
     probe = initial_probe
@@ -231,7 +204,7 @@ def run_streaming(
             feeder.start()
             _wait_for_frames(store, policy.min_start_frames, policy)
         else:
-            feeder.feed_until(stream_offset)
+            feeder.feed_until(offset)
         status = store.poll()
         if tel.enabled:
             tel.add({"stream.frames_arrived": float(status.arrived)})
@@ -285,7 +258,8 @@ def run_streaming(
             inner = getattr(solver, "inner", solver)
             inner.options = replace(inner.options, data_source=store)
             relay = _EpochRelay(
-                run_observers, bank, it_done, total, coverage_frac
+                run_observers, result, elapsed_s, it_done, total,
+                coverage_frac,
             )
             kwargs: Dict[str, Any] = {
                 "observers": (relay,),
@@ -305,11 +279,12 @@ def run_streaming(
                     iterations=n_iter,
                     covered=len(covered),
                 ):
-                    result = solver.reconstruct(dataset, **kwargs)
+                    epoch = solver.reconstruct(dataset, **kwargs)
                 tel.count("stream.epochs")
             else:
-                result = solver.reconstruct(dataset, **kwargs)
-            bank.deposit(result, time.perf_counter() - t0)
+                epoch = solver.reconstruct(dataset, **kwargs)
+            elapsed_s += time.perf_counter() - t0
+            result = fold_leg(epoch, result)
             volume = result.volume
             if result.probe is not None:
                 epoch_probe = result.probe
@@ -321,7 +296,7 @@ def run_streaming(
             # -- pump arrivals for the next epoch ----------------------
             arrived_before = status.arrived
             if feeder.mode == "sweep":
-                delivered = feeder.feed_until(stream_offset + it_done)
+                delivered = feeder.feed_until(offset + it_done)
                 if tel.enabled and delivered:
                     tel.add({"stream.frames_arrived": float(delivered)})
             else:
@@ -341,13 +316,5 @@ def run_streaming(
     finally:
         feeder.stop()
 
-    assert result is not None and volume is not None  # total > 0
-    return ReconstructionResult(
-        volume=volume,
-        history=bank.history,
-        messages=bank.messages,
-        message_bytes=bank.message_bytes,
-        peak_memory_per_rank=bank.peaks,
-        decomposition=result.decomposition,
-        probe=epoch_probe,
-    )
+    assert result is not None  # total > 0
+    return result

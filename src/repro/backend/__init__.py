@@ -37,10 +37,8 @@ from repro.backend.base import (
     BackendUnavailableError,
     PrecisionPolicy,
     UnknownBackendError,
-    acquire_backend,
     available_backend_names,
     backend_names,
-    backend_refcount,
     default_backend_name,
     default_dtype_name,
     get_backend,
@@ -67,9 +65,7 @@ __all__ = [
     "BackendUnavailableError",
     "register_backend",
     "unregister_backend",
-    "acquire_backend",
     "release_backend",
-    "backend_refcount",
     "shutdown_backends",
     "backend_names",
     "available_backend_names",

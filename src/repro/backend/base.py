@@ -60,9 +60,7 @@ __all__ = [
     "BackendUnavailableError",
     "register_backend",
     "unregister_backend",
-    "acquire_backend",
     "release_backend",
-    "backend_refcount",
     "shutdown_backends",
     "backend_names",
     "available_backend_names",
@@ -252,13 +250,7 @@ class ArrayBackend(ABC):
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, Type[ArrayBackend]] = {}
 _INSTANCES: Dict[str, ArrayBackend] = {}
-#: Outstanding :func:`acquire_backend` leases per cached instance.  A
-#: :func:`release_backend` call only closes the instance when the last
-#: lease is returned, so one holder finishing cannot tear down the plan
-#: cache another thread of the same process is transforming through.
-_REFCOUNTS: Dict[str, int] = {}
-#: Guards every mutation of the registry/instance/refcount tables.
-#: Reentrant: ``acquire_backend`` calls ``get_backend`` under the lock.
+#: Guards every mutation of the registry/instance tables.
 _LOCK = threading.RLock()
 #: One-slot mutable cell holding the in-code default — a name *or a
 #: configured instance* (``use_backend(ThreadedFFTBackend(workers=2))``
@@ -305,21 +297,19 @@ def register_backend(
 
 
 def _evict_locked(name: str) -> Optional[ArrayBackend]:
-    """Drop the cached instance (and any leases) under ``name``; the
+    """Drop the cached instance under ``name``; the
     caller must hold ``_LOCK`` and must ``close()`` the returned
     instance *after* releasing it — ``close()`` can block on worker-pool
     shutdown, and running it under the registry lock would stall every
     concurrent backend resolution (see the ``lock-blocking`` rule of
     :mod:`repro.analysis`)."""
-    _REFCOUNTS.pop(name, None)
     return _INSTANCES.pop(name, None)
 
 
 def _close_instance(name: str) -> None:
     """Evict and close the cached instance under ``name`` (if any) —
     registry-held backends must not leak worker pools or plan caches
-    when their registration goes away.  Any outstanding leases are
-    voided (re-registration/teardown is a force-close).  Must be called
+    when their registration goes away.  Must be called
     *without* holding ``_LOCK``: the close runs outside it."""
     with _LOCK:
         instance = _evict_locked(name)
@@ -339,63 +329,16 @@ def unregister_backend(name: str) -> None:
         stale.close()
 
 
-def acquire_backend(spec: Union[str, ArrayBackend]) -> ArrayBackend:
-    """Resolve ``spec`` like :func:`get_backend` and take a lease on the
-    cached instance.
-
-    Concurrent holders (threads of one process running jobs on the same
-    backend) each acquire their own lease; :func:`release_backend` only
-    closes the shared instance when the last lease is returned.  Caller
-    contract::
-
-        backend = acquire_backend("threaded")
-        try:
-            ...  # run a job through it
-        finally:
-            release_backend(backend.name)
-
-    An instance passed directly (not registry-cached) is returned as-is
-    without a lease — its lifecycle belongs to whoever constructed it.
-    """
-    with _LOCK:
-        backend = get_backend(spec)
-        name = backend.name
-        if _INSTANCES.get(name) is backend:
-            _REFCOUNTS[name] = _REFCOUNTS.get(name, 0) + 1
-        return backend
-
-
 def release_backend(name: str) -> None:
-    """Return a lease on (or force-recycle) the cached instance of
-    ``name``; the registration itself stays.
-
-    With outstanding :func:`acquire_backend` leases, the instance is
-    closed and evicted only when the *last* lease is returned — earlier
-    calls just decrement the count, so one job's completion cannot close
-    a plan cache another job is mid-transform on.  Without leases (the
-    pre-service calling convention), the instance is closed and evicted
-    immediately; the next :func:`get_backend` constructs a fresh one.
-    """
+    """Close and evict the cached instance of ``name``; the registration
+    itself stays, and the next :func:`get_backend` constructs a fresh
+    instance."""
     with _LOCK:
         if name not in _REGISTRY:
             raise UnknownBackendError(_unknown_message(name))
-        count = _REFCOUNTS.get(name, 0)
-        if count > 1:
-            _REFCOUNTS[name] = count - 1
-            return
         instance = _evict_locked(name)
     if instance is not None:
         instance.close()
-
-
-def backend_refcount(name: str = None) -> Union[int, Dict[str, int]]:
-    """Outstanding leases for ``name`` (0 if none), or — with no
-    argument — a snapshot of every non-zero count.  The service leak
-    check asserts this is empty after its worker pool drains."""
-    with _LOCK:
-        if name is not None:
-            return _REFCOUNTS.get(name, 0)
-        return {n: c for n, c in _REFCOUNTS.items() if c > 0}
 
 
 def shutdown_backends() -> None:
@@ -440,8 +383,7 @@ def get_backend(spec: Union[str, ArrayBackend]) -> ArrayBackend:
         if cached is None or getattr(cached, "closed", False):
             # A user-closed instance must not poison later resolutions
             # of the name — rebuild instead of handing out a dead
-            # backend (stale leases on the dead instance are voided).
-            _REFCOUNTS.pop(name, None)
+            # backend.
             _INSTANCES[name] = cls()
         return _INSTANCES[name]
 

@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "bit-identical to the historical path); with "
                           "--config, overrides the config's probe_modes")
     rec.add_argument("--resume", default=None,
-                     help="warm-start from a saved result archive")
+                     help="warm-start from a saved result archive and "
+                          "continue its run (--iterations counts the "
+                          "iterations still to run)")
     rec.add_argument("--stream", action="store_true",
                      help="replay the dataset as a live acquisition "
                           "(frames arrive in waves while the solver runs; "

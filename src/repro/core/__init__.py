@@ -34,12 +34,6 @@ from repro.core.reconstructor import (
     ReconstructionResult,
 )
 from repro.core.stitching import stitch
-from repro.core.diagnostics import (
-    LoadBalanceReport,
-    communication_matrix,
-    critical_path_length,
-    load_balance,
-)
 
 __all__ = [
     "Decomposition",
@@ -58,8 +52,4 @@ __all__ = [
     "GradientDecompositionReconstructor",
     "ReconstructionResult",
     "stitch",
-    "LoadBalanceReport",
-    "load_balance",
-    "communication_matrix",
-    "critical_path_length",
 ]

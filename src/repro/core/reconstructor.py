@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
@@ -127,8 +128,14 @@ class ReconstructionResult:
 
     @property
     def n_iterations(self) -> int:
-        """Iterations actually run."""
+        """Iterations of the whole run (a resumed run counts the
+        iterations its resume archive had banked)."""
         return len(self.history)
+
+    @property
+    def n_ranks(self) -> int:
+        """Rank count of the decomposition (what archives record)."""
+        return self.decomposition.n_ranks
 
     @property
     def final_cost(self) -> float:
@@ -144,34 +151,34 @@ class ReconstructionResult:
 _Leg = TypeVar("_Leg")
 
 
-def fold_leg(
-    leg: _Leg,
-    history: Sequence[float],
-    messages: int,
-    message_bytes: int,
-    peaks: Sequence[int],
-) -> _Leg:
-    """``leg`` with the ledger of the legs run before it folded in.
+def fold_leg(leg: _Leg, prior: Any) -> _Leg:
+    """``leg`` with the ledger of ``prior``, the run before it, folded in.
 
-    Chained warm-started legs (streaming epochs, a service job's
-    cancel → resume legs) report leg-local numbers; the whole run's are:
+    Chained warm-started legs (streaming epochs, a ``resume`` from an
+    archive) each measure their own numbers; the whole run's are:
     history and traffic **add**, per-rank memory peaks take the
     **element-wise max** (a high-water mark; ragged-safe, though a run's
     decomposition — hence the rank count — is fixed by its config).
     Everything else (volume, probe, decomposition, telemetry) describes
-    the current state and is ``leg``'s.  Works on any dataclass carrying
-    the four ledger fields (:class:`ReconstructionResult`, a loaded
-    :class:`~repro.io.storage.ResultArchive`).
+    the current state and is ``leg``'s.  ``leg`` and ``prior`` are any
+    dataclasses carrying the four ledger fields
+    (:class:`ReconstructionResult`, a loaded
+    :class:`~repro.io.storage.ResultArchive`); ``prior=None`` (nothing
+    ran before) returns ``leg`` itself.
     """
+    if prior is None:
+        return leg
     return replace(
         leg,
-        history=[*history, *leg.history],
-        messages=int(messages) + int(leg.messages),
-        message_bytes=int(message_bytes) + int(leg.message_bytes),
+        history=[*prior.history, *leg.history],
+        messages=int(prior.messages) + int(leg.messages),
+        message_bytes=int(prior.message_bytes) + int(leg.message_bytes),
         peak_memory_per_rank=[
             max(int(before), int(now))  # byte counts: 0 pads a ragged tail
             for before, now in zip_longest(
-                peaks, leg.peak_memory_per_rank, fillvalue=0
+                prior.peak_memory_per_rank,
+                leg.peak_memory_per_rank,
+                fillvalue=0,
             )
         ],
     )

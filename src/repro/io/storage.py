@@ -171,11 +171,11 @@ class ResultArchive:
 
 def save_result(
     path: Union[str, Path],
-    result: ReconstructionResult,
+    result: Union[ReconstructionResult, ResultArchive],
     config: Optional[Union["ReconstructionConfig", Mapping[str, Any]]] = None,
 ) -> Path:
-    """Write a :class:`ReconstructionResult` to a stored (uncompressed)
-    npz archive.
+    """Write a :class:`ReconstructionResult` (or a loaded
+    :class:`ResultArchive`) to a stored (uncompressed) npz archive.
 
     ``config`` (a :class:`~repro.api.config.ReconstructionConfig` or its
     ``to_dict`` form) is embedded as JSON for provenance/replay.
@@ -191,7 +191,7 @@ def save_result(
         "peak_memory_per_rank": np.asarray(
             result.peak_memory_per_rank, dtype=np.int64
         ),
-        "n_ranks": np.array(result.decomposition.n_ranks, dtype=np.int64),
+        "n_ranks": np.array(result.n_ranks, dtype=np.int64),
     }
     if result.probe is not None:
         payload["probe"] = result.probe

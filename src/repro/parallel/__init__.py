@@ -19,7 +19,6 @@ from repro.parallel.topology import ClusterTopology, MeshLayout
 from repro.parallel.network import LinkSpec, NetworkModel
 from repro.parallel.comm import Message, Request, VirtualComm, CommError
 from repro.parallel.memory import MemoryTracker
-from repro.parallel.collectives import ring_allreduce
 from repro.parallel.event_sim import (EventSimulator, RankTimeline, SimReport, TraceEvent)
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "Request",
     "CommError",
     "MemoryTracker",
-    "ring_allreduce",
     "EventSimulator",
     "RankTimeline",
     "SimReport",

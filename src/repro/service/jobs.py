@@ -6,8 +6,9 @@ One directory per job under ``<root>/jobs/<job_id>/``::
     dataset.npz       the acquisition, when submitted in-memory
                       (path submissions reference the original file)
     checkpoints/      periodic + interrupt checkpoints of the active leg
-    seed.npz          consolidated resume seed (volume/probe/config)
-    result.npz        the final merged archive, once DONE
+    seed.npz          consolidated resume seed (volume/probe/config
+                      and the ledger of every iteration before it)
+    result.npz        the whole run's archive, once the job finished
     progress.json     latest ProgressUpdate mirror (cross-process poll)
     control.json      pending cancel/pause request (cross-process)
 
@@ -23,11 +24,14 @@ without manual cleanup); a ``submit`` with no server running is picked
 up whenever one starts.
 
 **Leg accounting.**  A job runs as one or more *legs* (initial run, then
-one per resume).  Checkpoints snapshot leg-local counters (history from
-leg start, leg traffic), so the record banks the completed legs'
-contribution in its ``carry_*`` fields; :func:`consolidate_from_archive`
-folds a checkpoint into the carry and installs it as the next leg's
-seed.  Cost history and message counters are exactly additive across
+one per resume).  Each leg resumes from ``seed.npz`` through
+``repro.reconstruct``, which folds the seed's ledger (cost history,
+traffic, memory peaks) into every checkpoint and into the result, so
+every archive of a job describes the whole run so far — the archive is
+the one ledger.  :func:`consolidate_from_archive` installs a checkpoint
+as the next leg's seed and records how many iterations it covers in
+``iterations_done``; a job is finished exactly when ``result.npz``
+exists.  Cost history and message counters are exactly additive across
 legs (per-iteration traffic is constant), which is what makes a
 cancel→resume job's final archive fingerprint-identical to an
 uninterrupted run for the exactly-resumable solvers (gd
@@ -42,7 +46,7 @@ import re
 import shutil
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -108,19 +112,12 @@ class JobRecord:
     error: Optional[str] = None
     #: Total iterations the job must run (across all legs).
     iterations_total: int = 0
-    #: Banked contribution of completed legs (see module docstring).
-    carry_history: List[float] = field(default_factory=list)
-    carry_messages: int = 0
-    carry_message_bytes: int = 0
-    carry_peaks: List[int] = field(default_factory=list)
+    #: Iterations the resume seed covers (see module docstring).
+    iterations_done: int = 0
     #: Resume seed archive (path relative to the job dir), if any.
     seed: Optional[str] = None
     #: Completed resume cycles.
     resumes: int = 0
-
-    @property
-    def iterations_done(self) -> int:
-        return len(self.carry_history)
 
     def reconstruction_config(self) -> ReconstructionConfig:
         """The submitted config as a live object."""
@@ -151,7 +148,44 @@ def load_record(root: Union[str, Path], job_id: str) -> JobRecord:
         payload = json.loads(path.read_text())
     except OSError as exc:
         raise JobError(f"no job {job_id!r} under {root} ({exc})") from None
+    if "carry_history" in payload:
+        return _upgrade_carry(root, payload)
     return JobRecord(**payload)
+
+
+def _upgrade_carry(
+    root: Union[str, Path], payload: Dict[str, Any]
+) -> JobRecord:
+    """Convert a record written when ``job.json`` banked the completed
+    legs' ledger in ``carry_*`` fields and archives held leg-local
+    ledgers: fold the carry into the newest unconsolidated checkpoint,
+    write it as the seed's ledger, then drop the fields.  A finished
+    job's archives are already whole-run and stay as they are."""
+    from repro.core.reconstructor import fold_leg
+    from repro.io.storage import load_result, save_result
+
+    record = JobRecord(**{
+        k: v for k, v in payload.items() if not k.startswith("carry_")
+    })
+    directory = job_dir(root, record.job_id)
+    carry = {
+        "history": payload["carry_history"],
+        "messages": payload["carry_messages"],
+        "message_bytes": payload["carry_message_bytes"],
+        "peak_memory_per_rank": payload["carry_peaks"],
+    }
+    if record.seed is not None and not (directory / "result.npz").exists():
+        seed = replace(load_result(directory / record.seed), **carry)
+        newest = latest_checkpoint(root, record.job_id)
+        if newest is not None:
+            leg = load_result(newest)
+            # A conversion that died before its record write folded it.
+            if leg.history[: len(seed.history)] != seed.history:
+                save_result(newest, fold_leg(leg, seed), config=leg.config)
+        save_result(directory / record.seed, seed, config=seed.config)
+    record.iterations_done = len(carry["history"])
+    save_record(root, record)
+    return record
 
 
 def save_record(root: Union[str, Path], record: JobRecord) -> None:
@@ -300,29 +334,17 @@ def latest_checkpoint(root: Union[str, Path], job_id: str) -> Optional[Path]:
 def consolidate_from_archive(
     root: Union[str, Path], record: JobRecord, archive_path: Path
 ) -> None:
-    """Fold a leg checkpoint into the record's carry and install it as
-    the next leg's seed.
+    """Install a leg checkpoint as the next leg's seed.
 
-    The checkpoint's history/counters are leg-local, so the fold is a
-    plain append/add; peak memory is a high-water mark, so it merges
-    elementwise-max.  The archive is moved to ``seed.npz`` and the
-    leg's other checkpoints are dropped (their iteration numbering is
-    leg-local and would collide with the next leg's).
+    The checkpoint already carries the whole run's ledger, so the
+    record only notes how many iterations it covers.  The archive is
+    moved to ``seed.npz`` and the leg's other checkpoints are dropped
+    (their iteration numbering is leg-local and would collide with the
+    next leg's).
     """
-    from repro.core.reconstructor import fold_leg
     from repro.io.storage import load_result
 
-    total = fold_leg(
-        load_result(archive_path),
-        record.carry_history,
-        record.carry_messages,
-        record.carry_message_bytes,
-        record.carry_peaks,
-    )
-    record.carry_history = total.history
-    record.carry_messages = total.messages
-    record.carry_message_bytes = total.message_bytes
-    record.carry_peaks = total.peak_memory_per_rank
+    record.iterations_done = len(load_result(archive_path).history)
     directory = job_dir(root, record.job_id)
     seed = directory / "seed.npz"
     os.replace(archive_path, seed)
@@ -333,9 +355,9 @@ def consolidate_from_archive(
 def prepare_resume(root: Union[str, Path], job_id: str) -> JobRecord:
     """Requeue a settled job (offline — no server required).
 
-    ``PAUSED``/``CANCELLED`` jobs were consolidated by the worker that
-    stopped them; a ``FAILED``/crashed job may still have un-folded leg
-    checkpoints, so the newest one is consolidated here.  The record
+    ``PAUSED``/``CANCELLED`` jobs were consolidated by the leg that
+    stopped them; a ``FAILED``/crashed job may still have unconsolidated
+    leg checkpoints, so the newest one is consolidated here.  The record
     comes back ``QUEUED`` with its seed installed; a running ``serve``
     picks it up at its next recovery scan (or immediately when resumed
     through :meth:`ReconstructionService.resume`).
@@ -346,15 +368,12 @@ def prepare_resume(root: Union[str, Path], job_id: str) -> JobRecord:
             f"job {job_id!r} is {record.state}; only "
             f"{'/'.join(JobState.RESUMABLE)} jobs can be resumed"
         )
-    if record.iterations_done >= record.iterations_total:
-        raise JobError(
-            f"job {job_id!r} already banked all "
-            f"{record.iterations_total} iterations"
-        )
+    if (job_dir(root, job_id) / "result.npz").exists():
+        raise JobError(f"job {job_id!r} already finished (result.npz)")
     stale = latest_checkpoint(root, job_id)
     if stale is not None:
-        # A crash (or failure) left leg checkpoints the stopping worker
-        # never folded — bank the newest, drop the rest.
+        # A crash (or failure) left leg checkpoints nothing consolidated
+        # — install the newest, drop the rest.
         consolidate_from_archive(root, record, stale)
     clear_control(root, job_id)
     record.state = JobState.QUEUED

@@ -35,8 +35,8 @@ loads the dataset and forks the leg (:func:`~repro.runtime.process.
 start_child`, the fork site the ``process`` executor uses too, so the
 leg may fork rank workers of its own).  The leg pins the config, runs
 ``reconstruct`` with the checkpoint policy and a controller that polls
-``control.json``, and writes ``result.npz`` or its interrupt checkpoint
-and the record's carry fields itself.  Back over one one-way pipe it
+``control.json``, and itself writes ``result.npz`` (or, when stopped,
+its interrupt checkpoint as the job's seed).  Back over one one-way pipe it
 sends only its progress updates
 (:class:`~repro.service.progress.ProgressUpdate`) and a final
 ``(state, error, telemetry summary)``; the supervisor publishes
@@ -71,7 +71,6 @@ from repro.api.events import CheckpointPolicy
 from repro.api.reconstruct import reconstruct
 from repro.backend.base import default_dtype_name, resolve_backend
 from repro.core.observers import IterationEvent
-from repro.core.reconstructor import fold_leg
 from repro.io.storage import ResultArchive, load_result, save_result
 from repro.obs import telemetry as _obs
 from repro.runtime import process as _process
@@ -269,11 +268,6 @@ def _run_leg(
             leg_config = leg_config.with_run_params(
                 resume=str(directory / record.seed)
             )
-        if base_config.scan_source is not None and offset > 0:
-            # A resumed streamed leg fast-forwards the feeder's sweep
-            # clock so the frame journal the interrupted leg had
-            # accumulated is rebuilt deterministically.
-            leg_config = leg_config.with_run_params(stream_offset=offset)
         observers: List[Any] = [
             _LegProgress(
                 conn,
@@ -295,32 +289,16 @@ def _run_leg(
                 )
             )
         observers.append(_LegController(root, record, base_config, offset))
+        # The resumed seed's ledger is folded in by reconstruct, so this
+        # is the whole job's result.  Spans are per-leg wall-clock — only
+        # the final leg's telemetry is attached (earlier legs' live on in
+        # the telemetry.json written at each settle).
         if tel is not None:
             with _obs.activate(tel):
-                leg = reconstruct(dataset, leg_config, observers=observers)
+                final = reconstruct(dataset, leg_config, observers=observers)
         else:
-            leg = reconstruct(dataset, leg_config, observers=observers)
-
-        # The whole-job result: the final leg's state, history and
-        # traffic banked across legs, peaks as the high-water mark.
-        # Spans are per-leg wall-clock — only the final leg's telemetry
-        # is attached (earlier legs' live on in the telemetry.json
-        # written at each settle).
-        final = fold_leg(
-            leg,
-            record.carry_history,
-            record.carry_messages,
-            record.carry_message_bytes,
-            record.carry_peaks,
-        )
+            final = reconstruct(dataset, leg_config, observers=observers)
         save_result(directory / "result.npz", final, config=base_config)
-        # Banked after the archive, so a record whose carry covers every
-        # iteration always has its result.npz (see _recover).
-        record.carry_history = [float(c) for c in final.history]
-        record.carry_messages = int(final.messages)
-        record.carry_message_bytes = int(final.message_bytes)
-        record.carry_peaks = [int(p) for p in final.peak_memory_per_rank]
-        jobstore.save_record(root, record)
         jobstore.clear_control(root, job_id)
         state = JobState.DONE
     except _LegInterrupted as stop:
@@ -716,9 +694,10 @@ class ReconstructionService:
                     self._stats["recovered"] += 1
                 logger.info("job %s: recovered from queue", job_id)
             elif record.state == JobState.RUNNING:
-                if record.iterations_done >= record.iterations_total:
-                    # The leg archived result.npz and banked its carry;
-                    # its service died before settling it.
+                directory = jobstore.job_dir(self.root, job_id)
+                if (directory / "result.npz").exists():
+                    # The leg archived its result; its service died
+                    # before settling it.
                     self._settle(record, JobState.DONE)
                     logger.info("job %s: recovered finished leg", job_id)
                     continue

@@ -162,8 +162,10 @@ class TestReconstructEntryPoint:
         resumed = reconstruct(
             tiny_dataset, cfg.with_run_params(resume=str(path))
         )
-        # warm start: resumed run starts below the cold run's start
-        assert resumed.history[0] < first.history[0]
+        # the resumed run continues the archive's history, and the warm
+        # start begins below the cold run's start
+        assert resumed.history[:2] == first.history
+        assert resumed.history[2] < first.history[0]
 
     def test_replay_from_embedded_config_reproduces_history(
         self, tiny_dataset, tiny_lr, tmp_path

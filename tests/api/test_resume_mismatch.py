@@ -75,16 +75,15 @@ class TestResumeCheck:
     def test_matching_resume_runs(
         self, tiny_dataset, tiny_lr, archive_path
     ):
-        # reconstruct() returns the *leg* (history of the 4 resumed
-        # iterations); the volume matches the uninterrupted run bit for
-        # bit.  Whole-job accounting is the service layer's job.
+        # reconstruct() continues the archive's ledger: volume and
+        # history match the uninterrupted run bit for bit.
         resumed = reconstruct(
             tiny_dataset,
             gd(tiny_lr).with_run_params(resume=str(archive_path)),
         )
         full = reconstruct(tiny_dataset, gd(tiny_lr, iterations=8))
         np.testing.assert_array_equal(full.volume, resumed.volume)
-        assert resumed.history == full.history[4:]
+        assert resumed.history == full.history
 
     def test_mismatched_lr_raises(
         self, tiny_dataset, tiny_lr, archive_path
@@ -111,7 +110,7 @@ class TestResumeCheck:
             resume=str(archive_path), resume_unchecked=True
         )
         result = reconstruct(tiny_dataset, config)  # warm start, no raise
-        assert result.n_iterations == 4
+        assert result.n_iterations == 8
 
     def test_configless_archive_skips_check(
         self, tmp_path, tiny_dataset, tiny_lr
@@ -125,7 +124,7 @@ class TestResumeCheck:
             tiny_dataset,
             gd(tiny_lr * 2).with_run_params(resume=str(path)),
         )
-        assert resumed.n_iterations == 4
+        assert resumed.n_iterations == 8
 
     def test_neutral_knob_changes_resume_fine(
         self, tiny_dataset, tiny_lr, archive_path
@@ -138,7 +137,7 @@ class TestResumeCheck:
         resumed = reconstruct(tiny_dataset, config)
         full = reconstruct(tiny_dataset, gd(tiny_lr, iterations=8))
         np.testing.assert_array_equal(full.volume, resumed.volume)
-        assert resumed.history == full.history[4:]
+        assert resumed.history == full.history
 
     def test_error_message_names_both_fingerprints(
         self, tiny_dataset, tiny_lr, archive_path
@@ -170,4 +169,4 @@ class TestProbeForwarding:
         )
         np.testing.assert_array_equal(full.volume, resumed.volume)
         np.testing.assert_array_equal(full.probe, resumed.probe)
-        assert resumed.history == full.history[4:]
+        assert resumed.history == full.history

@@ -1,6 +1,8 @@
 """Backend lifecycle: explicit shutdown, bounded plan cache, registry
 eviction — the long-lived-service guarantees."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,12 @@ class TestRegistryLifecycle:
         finally:
             unregister_backend("lifecycle-test")
 
+    def test_release_closes_threaded_instance(self):
+        backend = get_backend("threaded")
+        backend.fft2(np.ones((4, 4), dtype=np.complex128))
+        release_backend("threaded")
+        assert backend.closed
+
     def test_release_unknown_backend_errors(self):
         from repro.backend import UnknownBackendError
 
@@ -157,3 +165,32 @@ class TestRegistryLifecycle:
         assert second is not first
         assert not second.closed
         second.fft2(np.ones((4, 4), dtype=np.complex128))
+
+
+class TestConcurrency:
+    def test_concurrent_plan_cache_access_is_safe(self):
+        # Many threads sharing one cached instance stress the plan
+        # cache's internal lock (lookup/create/evict under contention).
+        backend = get_backend("threaded")
+        errors = []
+        barrier = threading.Barrier(4)
+
+        def worker(tid):
+            barrier.wait()
+            try:
+                for n in range(2, 12):
+                    data = np.ones((n, n), dtype=np.complex128)
+                    backend.fft2(data)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        release_backend("threaded")
+        assert errors == []
+        assert backend.closed

@@ -262,11 +262,13 @@ class TestConfigSurface:
                 scan_source={"kind": "replay"},
             )
 
-    def test_stream_offset_needs_scan_source(self, tiny_dataset, tiny_lr):
-        config = ReconstructionConfig(
-            solver="gd",
-            solver_params={"n_ranks": 4, "iterations": 2, "lr": tiny_lr},
-            run_params={"stream_offset": 2},
+    def test_stream_offset_is_not_a_run_param(self, tiny_dataset, tiny_lr):
+        """A resumed stream fast-forwards by its resume archive's
+        history; there is no offset to pass."""
+        config = (
+            _config("gd", tiny_lr)
+            .with_stream(scan_source={"kind": "replay"})
+            .with_run_params(stream_offset=2)
         )
-        with pytest.raises(ValueError, match="stream_offset"):
+        with pytest.raises(ValueError, match="unknown run_params"):
             reconstruct(tiny_dataset, config)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.parallel.comm import CommError, VirtualComm
 
@@ -130,3 +131,52 @@ class TestAllreduce:
         comm.allreduce_sum([np.zeros(100) for _ in range(4)])
         assert comm.allreduce_calls == 1
         assert comm.sent_bytes > 0
+
+    def test_books_the_ring_volume(self):
+        """2(P-1) messages and 2(P-1)/P of the buffer per rank — the
+        volume the network model's all-reduce formula is built on."""
+        p = 5
+        comm = VirtualComm(p)
+        comm.allreduce_sum([np.zeros(10) for _ in range(p)])
+        assert comm.sent_messages == 2 * (p - 1)
+        share = int(2.0 * (p - 1) / p * 80)
+        np.testing.assert_array_equal(comm.per_rank_sent_bytes, [share] * p)
+        assert comm.sent_bytes == int(2.0 * (p - 1) / p * 80 * p)
+        assert comm.pending_messages() == 0
+
+    def test_single_rank_gets_a_copy_and_books_nothing(self, rng):
+        comm = VirtualComm(1)
+        buf = rng.normal(size=4)
+        total = comm.allreduce_sum([buf])
+        np.testing.assert_array_equal(total, buf)
+        assert total is not buf
+        assert (comm.sent_messages, comm.sent_bytes) == (0, 0)
+
+    def test_inputs_not_mutated(self, comm, rng):
+        contributions = [rng.normal(size=7) for _ in range(4)]
+        copies = [c.copy() for c in contributions]
+        comm.allreduce_sum(contributions)
+        for c, before in zip(contributions, copies):
+            np.testing.assert_array_equal(c, before)
+
+    def test_complex_dtype(self, comm, rng):
+        contributions = [
+            rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+            for _ in range(4)
+        ]
+        total = comm.allreduce_sum(contributions)
+        assert total.dtype == np.complex128
+        np.testing.assert_allclose(total, np.sum(contributions, axis=0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 40), st.integers(0, 2**31 - 1))
+    def test_property_sum_is_in_rank_order(self, p, n, seed):
+        """Any rank count and size: the result is the ascending-rank
+        sum, bit for bit (what keeps every placement identical)."""
+        rng = np.random.default_rng(seed)
+        contributions = [rng.normal(size=n) for _ in range(p)]
+        expected = np.zeros(n)
+        for c in contributions:
+            expected += c
+        total = VirtualComm(p).allreduce_sum(contributions)
+        np.testing.assert_array_equal(total, expected)

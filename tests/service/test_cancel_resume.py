@@ -9,9 +9,13 @@ updates, so resuming from a stitched checkpoint is a warm start, not a
 bit-exact continuation (documented in repro.service.jobs).
 """
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro import reconstruct
+from repro.io import load_result, save_result
 from repro.service import JobError, JobState, load_record, prepare_resume
 from repro.service import jobs as jobstore
 
@@ -247,4 +251,123 @@ class TestCancelSemantics:
         assert not jobstore.checkpoints_dir(
             service.root, handle.job_id
         ).exists()
-        assert record.carry_history and len(record.carry_history) == 2
+        assert record.iterations_done == 2
+        assert len(load_result(directory / "seed.npz").history) == 2
+
+
+def leg_local(total, before):
+    """``total`` with ``before``'s ledger taken out: the leg-local
+    ledger archives held while job records banked earlier legs."""
+    return replace(
+        total,
+        history=total.history[len(before.history):],
+        messages=total.messages - before.messages,
+        message_bytes=total.message_bytes - before.message_bytes,
+    )
+
+
+def write_legacy_record(root, job_id, carry, **changes):
+    """Rewrite ``job.json`` as records were written while they banked
+    the completed legs' ledger in ``carry_*`` fields."""
+    path = jobstore.job_dir(root, job_id) / "job.json"
+    payload = json.loads(path.read_text())
+    del payload["iterations_done"]
+    payload.update(
+        changes,
+        carry_history=carry.history,
+        carry_messages=carry.messages,
+        carry_message_bytes=carry.message_bytes,
+        carry_peaks=carry.peak_memory_per_rank,
+    )
+    path.write_text(json.dumps(payload))
+
+
+class TestLegacyCarryRoot:
+    """Job roots written while ``job.json`` carried the ledger of the
+    completed legs (``carry_*``) and every archive a leg-local one."""
+
+    def cancelled_twice(self, root, dataset, lr, config):
+        """A 6-iteration job cancelled at 2, resumed and cancelled at 4;
+        returns its id and its seed archives at 2 and at 4."""
+        from repro.service import ReconstructionService
+
+        with ReconstructionService(root, workers=1) as service:
+            with held_worker(service, dataset, lr):
+                handle = service.submit(dataset, config)
+                handle.cancel(at_iteration=2)
+            assert handle.wait(timeout=WAIT) == JobState.CANCELLED
+            seed = jobstore.job_dir(root, handle.job_id) / "seed.npz"
+            at2 = load_result(seed)
+            with held_worker(service, dataset, lr):
+                handle.resume()
+                handle.cancel(at_iteration=4)
+            assert handle.wait(timeout=WAIT) == JobState.CANCELLED
+        at4 = load_result(seed)
+        assert (len(at2.history), len(at4.history)) == (2, 4)
+        return handle.job_id, at2, at4
+
+    def finish(self, root, job_id):
+        """Finish the job under a new service: a RUNNING job through its
+        recovery scan, a settled one through ``resume``."""
+        from repro.service import ReconstructionService
+
+        record = jobstore.job_dir(root, job_id) / "job.json"
+        state = json.loads(record.read_text())["state"]
+        with ReconstructionService(root, workers=1) as service:
+            if state != JobState.RUNNING:
+                service.resume(job_id)
+            assert service.wait(job_id, timeout=WAIT) == JobState.DONE, \
+                load_record(root, job_id).error
+            return service.result(job_id)
+
+    def test_cancelled_root_resumes_exactly(
+        self, tiny_dataset, tiny_lr, tmp_path
+    ):
+        root = tmp_path / "jobs"
+        config = gd_config(tiny_lr, iterations=6)
+        job_id, at2, at4 = self.cancelled_twice(
+            root, tiny_dataset, tiny_lr, config
+        )
+        seed = jobstore.job_dir(root, job_id) / "seed.npz"
+        save_result(seed, leg_local(at4, at2), config=at4.config)
+        write_legacy_record(root, job_id, carry=at4)
+
+        record = load_record(root, job_id)
+        assert record.iterations_done == 4
+        assert "carry_history" not in (
+            jobstore.job_dir(root, job_id) / "job.json"
+        ).read_text()
+        assert load_result(seed).history == at4.history
+        archive = self.finish(root, job_id)
+        direct = reconstruct(tiny_dataset, config)
+        assert result_fingerprint(archive) == result_fingerprint(direct)
+        assert archive.peak_memory_per_rank == direct.peak_memory_per_rank
+
+    def test_running_root_with_leg_local_checkpoint_recovers(
+        self, tiny_dataset, tiny_lr, tmp_path
+    ):
+        # A service died while the job's second leg ran: the seed holds
+        # the first leg, the newest periodic checkpoint the second leg's
+        # iterations 3-4, leg-local, and the record banks iterations 1-2.
+        root = tmp_path / "jobs"
+        config = gd_config(tiny_lr, iterations=6)
+        job_id, at2, at4 = self.cancelled_twice(
+            root, tiny_dataset, tiny_lr, config
+        )
+        directory = jobstore.job_dir(root, job_id)
+        checkpoints = jobstore.checkpoints_dir(root, job_id)
+        checkpoints.mkdir()
+        save_result(
+            checkpoints / "checkpoint_iter0002.npz",
+            leg_local(at4, at2),
+            config=at4.config,
+        )
+        save_result(directory / "seed.npz", at2, config=at2.config)
+        write_legacy_record(
+            root, job_id, carry=at2, state=JobState.RUNNING
+        )
+
+        archive = self.finish(root, job_id)
+        assert load_record(root, job_id).iterations_done == 4
+        direct = reconstruct(tiny_dataset, config)
+        assert result_fingerprint(archive) == result_fingerprint(direct)

@@ -8,7 +8,6 @@ import os
 from pathlib import Path
 
 from repro import reconstruct
-from repro.backend import backend_refcount
 from repro.data import write_store
 from repro.service import JobState
 
@@ -24,10 +23,9 @@ def fd_count():
 
 
 def assert_nothing_held(service, fds_before):
-    """A settled, closed service leaves no leg process, no lease and no
+    """A settled, closed service leaves no leg process and no
     descriptor behind (its pipes and its root lock included)."""
     assert multiprocessing.active_children() == []
-    assert backend_refcount() == {}
     service.close()
     assert fd_count() == fds_before
 
@@ -118,7 +116,6 @@ class TestBackendLeases:
             state = handle.wait(timeout=WAIT)
             assert state == JobState.DONE, handle.record().error
         assert service.drain(timeout=WAIT)
-        assert backend_refcount() == {}
         direct = result_fingerprint(reconstruct(tiny_dataset, configs[0]))
         for handle in handles:
             assert result_fingerprint(handle.result()) == direct

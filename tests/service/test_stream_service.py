@@ -67,7 +67,7 @@ class TestMidStreamCancelResume:
     ):
         # Cancel at iteration 2 — coverage is still partial (wave 3 of
         # the replay schedule lands after sweep 2), so the resumed leg
-        # must rebuild the frame journal via its stream_offset before
+        # must rebuild the frame journal by fast-forwarding before
         # finishing the remaining epochs.
         config = streamed_config(tiny_lr, iterations=6)
         service = service_factory(workers=1)

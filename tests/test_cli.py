@@ -75,7 +75,8 @@ class TestReconstruct:
               "--iterations", "2", "--resume", str(first),
               "--out", str(second)])
         a, b = load_result(first), load_result(second)
-        assert b.history[0] < a.history[0]  # warm start pays off
+        assert b.history[:2] == a.history
+        assert b.history[2] < a.history[0]  # warm start pays off
 
     def test_refine_probe_flag(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "rp.npz"
@@ -101,7 +102,8 @@ class TestReconstruct:
                      "--resume", str(first), "--out", str(second)])
         assert code == 0
         a, b = load_result(first), load_result(second)
-        assert b.history[0] < a.history[0]
+        assert b.history[:2] == a.history
+        assert b.history[2] < a.history[0]
 
     def test_hve_refine_probe_errors_clearly(
         self, dataset_path, tmp_path, capsys
