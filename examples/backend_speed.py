@@ -4,8 +4,8 @@
 Times the batched probe-window transform (the multislice hot kernel) and
 one full cost+gradient evaluation on every backend available on this
 machine, at complex128 and complex64, and prints the speedups over the
-numpy/complex128 reference.  The same sweep, JSON-serialized, is what
-``benchmarks/run_benchmarks.py`` writes to ``BENCH_backends.json``.
+numpy/complex128 reference.  The benchmark of record
+(``bench/run.py``) does not run this sweep.
 
 Run:
     PYTHONPATH=src python examples/backend_speed.py

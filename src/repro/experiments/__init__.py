@@ -2,8 +2,8 @@
 
 Each module exposes a ``run_*`` function returning a structured result
 with a ``format()`` method that prints the paper's reported values next
-to this reproduction's measured/modeled values.  The benchmark suite under
-``benchmarks/`` calls these.
+to this reproduction's measured/modeled values.  ``tests/experiments``
+asserts the paper's value bands on these results.
 
 Every runner registers itself in :data:`EXPERIMENTS` (see
 :mod:`repro.experiments.registry`); the CLI's ``experiment`` subcommand

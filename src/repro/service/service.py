@@ -88,6 +88,8 @@ logger = logging.getLogger(__name__)
 _Final = Tuple[str, Optional[str], Optional[Dict[str, Any]]]
 #: Seconds ``close(timeout)`` gives terminated legs before killing them.
 _LEG_GRACE_S = 5.0
+#: Supervisor wait timeout: how soon shutdown or a dead leg is noticed.
+_POLL_S = 0.1
 
 
 # ----------------------------------------------------------------------
@@ -379,11 +381,6 @@ class ReconstructionService:
         Periodic checkpoint cadence in iterations (``None`` = interrupt
         checkpoints only).  Periodic checkpoints are what crash
         recovery resumes from.
-    age_after:
-        Queue fairness knob (see :class:`~repro.service.queue.JobQueue`).
-    poll_interval:
-        Supervisor dequeue timeout — the latency bound on noticing
-        shutdown; requests themselves are event-driven.
     progress_cap:
         How many *settled* jobs keep their in-memory
         :class:`ProgressStream` (oldest evicted first).  Bounds a
@@ -402,8 +399,6 @@ class ReconstructionService:
         root: Union[str, Path],
         workers: int = 2,
         checkpoint_every: Optional[int] = None,
-        age_after: int = 4,
-        poll_interval: float = 0.1,
         progress_cap: int = 64,
     ) -> None:
         if workers <= 0:
@@ -415,13 +410,12 @@ class ReconstructionService:
         self.root = Path(root)
         self.workers = workers
         self.checkpoint_every = checkpoint_every
-        self.poll_interval = poll_interval
         self.progress_cap = progress_cap
         (self.root / "jobs").mkdir(parents=True, exist_ok=True)
         self._lock_file = None
         self._acquire_root_lock()
 
-        self._queue = JobQueue(age_after=age_after)
+        self._queue = JobQueue()
         self._cond = threading.Condition()
         self._progress: Dict[str, ProgressStream] = {}
         self._settled_order: Deque[str] = deque()
@@ -527,6 +521,8 @@ class ReconstructionService:
     def resume(self, job_id: str) -> JobHandle:
         """Requeue a ``PAUSED``/``CANCELLED``/``FAILED`` job from its
         consolidated checkpoint."""
+        if self._closed:
+            raise JobError("service is closed")
         record = jobstore.prepare_resume(self.root, job_id)
         self._queue.put(record.job_id, priority=record.priority)
         logger.info(
@@ -723,7 +719,7 @@ class ReconstructionService:
     # ------------------------------------------------------------------
     def _supervise(self) -> None:
         while True:
-            job_id = self._queue.get(timeout=self.poll_interval)
+            job_id = self._queue.get(timeout=_POLL_S)
             if job_id is None:
                 if self._closed and not len(self._queue):
                     return
@@ -910,7 +906,7 @@ class ReconstructionService:
             # The timeout covers a sentinel that stays unready after the
             # leg died: its rank workers inherited the write end.
             mp_connection.wait(
-                [reader, proc.sentinel], timeout=self.poll_interval
+                [reader, proc.sentinel], timeout=_POLL_S
             )
             # Checked before draining: once the leg has exited, every
             # message it sent is already in the pipe.

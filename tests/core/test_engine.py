@@ -219,6 +219,31 @@ class TestGradientTruncation:
             tight.memory.peak_bytes_mean() < exact.memory.peak_bytes_mean()
         )
 
+    def test_halo_width_trades_memory_for_truncation(self):
+        """Wider halos cost memory and truncate less; exact is serial, and
+        ~ the probe radius (the paper's 600 pm) is within 5% of exact."""
+        spec = repro.scaled_pbtio3_spec(
+            scan_grid=(8, 8), detector_px=24, n_slices=2, circle_overlap=0.8
+        )
+        dataset = repro.simulate_dataset(spec, seed=42)
+        lr = repro.suggest_lr(dataset, alpha=0.35)
+        paper = int(np.ceil(dataset.probe.spec.nominal_radius_px)) + 2
+        runs = {
+            halo: GradientDecompositionReconstructor(
+                mesh=MeshLayout(2, 2), iterations=6, lr=lr,
+                mode="synchronous", halo=halo,
+            ).reconstruct(dataset)
+            for halo in (2, 6, 10, paper, "exact")
+        }
+        serial = repro.SerialReconstructor(iterations=6, lr=lr)
+        ref = serial.reconstruct(dataset).volume
+        mems = [runs[h].peak_memory_mean for h in (2, 6, 10)]
+        assert mems == sorted(mems)
+        err = {h: np.abs(r.volume - ref).max() for h, r in runs.items()}
+        assert err["exact"] < 1e-10
+        assert err[2] > err[10]
+        assert err[paper] < 0.05 * np.abs(ref).max()
+
 
 class TestCompensateLocal:
     def test_localbuf_allocated_and_used(self, tiny_dataset, tiny_lr):

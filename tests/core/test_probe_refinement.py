@@ -134,6 +134,10 @@ class TestDistributedRefinement:
             n_ranks=4, iterations=2, lr=lr
         ).reconstruct(dataset)
         assert with_ref.messages > without.messages
+        # One small all-reduce per iteration: bounded overhead.
+        assert with_ref.messages - without.messages <= without.messages
+        extra_bytes = with_ref.message_bytes - without.message_bytes
+        assert extra_bytes < 0.5 * without.message_bytes
 
     def test_schedule_contains_probe_ops(self, workload):
         dataset, lr, _ = workload

@@ -7,11 +7,13 @@ solver to floating-point tolerance at every rank count and planner.
 import numpy as np
 import pytest
 
+import repro
 from repro.core.reconstructor import (
     GradientDecompositionReconstructor,
     ReconstructionResult,
     _round_chunks,
 )
+from repro.metrics.convergence import auc_cost
 from repro.parallel.topology import MeshLayout
 from tests.reference.serial import SerialReference
 
@@ -137,6 +139,46 @@ class TestAlg1Mode:
             )
             msgs[period] = recon.reconstruct(tiny_dataset).messages
         assert msgs["probe"] > msgs["iteration"]
+
+    def test_sync_period_trades_messages_not_convergence(self):
+        """Messages fall with the period T while the best reduced T
+        converges as well as per-probe passes (Sec. VI-F)."""
+        spec = repro.scaled_pbtio3_spec(
+            scan_grid=(9, 9), detector_px=20, n_slices=2, circle_overlap=0.78
+        )
+        dataset = repro.simulate_dataset(spec, seed=13)
+        lr = repro.suggest_lr(dataset, alpha=0.3)
+        runs = {
+            period: GradientDecompositionReconstructor(
+                mesh=MeshLayout(3, 3), iterations=6, lr=lr, mode="alg1",
+                sync_period=period,
+            ).reconstruct(dataset)
+            for period in (1, 3, 9, "iteration")
+        }
+        assert runs[1].messages > runs[3].messages > runs[9].messages
+        auc = {period: auc_cost(r.history) for period, r in runs.items()}
+        assert min(auc[3], auc[9], auc["iteration"]) <= 1.05 * auc[1]
+
+    @pytest.mark.slow
+    def test_compensation_keeps_large_steps_stable(self):
+        """Alg. 1 as printed applies each local gradient twice: at large
+        steps it diverges or ends >= 10x worse than compensated."""
+        spec = repro.scaled_pbtio3_spec(
+            scan_grid=(12, 12), detector_px=20, n_slices=2, circle_overlap=0.8
+        )
+        dataset = repro.simulate_dataset(spec, seed=3)
+        base_lr = repro.suggest_lr(dataset, 1.0)
+
+        def final_cost(alpha, compensate):
+            return GradientDecompositionReconstructor(
+                mesh=MeshLayout(3, 3), iterations=8, lr=alpha * base_lr,
+                mode="alg1", compensate_local=compensate,
+            ).reconstruct(dataset).history[-1]
+
+        compensated = [final_cost(a, True) for a in (0.1, 0.25, 0.4)]
+        assert np.isfinite(compensated).all()
+        printed = final_cost(0.4, False)
+        assert not np.isfinite(printed) or printed > 10 * compensated[-1]
 
 
 class TestConfiguration:

@@ -41,6 +41,12 @@ class TestTable2:
         by_gpus = {r.gpus: r for r in result.hve_rows}
         assert not by_gpus[126].feasible
 
+    def test_paper_bands(self, result):
+        """Paper: 360 min at 6 GPUs, 11x less memory at 462."""
+        first, last = result.gd_rows[0], result.gd_rows[-1]
+        assert 200 < float(first.runtime_min) < 520
+        assert 5 < float(first.memory_gb) / float(last.memory_gb) < 25
+
     def test_format_shows_paper_columns(self, result):
         text = result.format()
         assert "Table II(a)" in text
@@ -57,6 +63,11 @@ class TestTable3:
         assert result.scalability_factor() == pytest.approx(9.0, rel=0.01)
         assert result.memory_reduction_factor() > 25
         assert result.speed_factor() > 10
+        # Paper: 336% / 509% efficiency at 54 / 462 GPUs, 2.2 min at 4158.
+        assert all(r.feasible for r in result.gd_rows)
+        eff = {r.gpus: float(r.efficiency_pct) for r in result.gd_rows}
+        assert eff[54] > 150 and eff[462] > 150
+        assert float(result.gd_rows[-1].runtime_min) < 6.0
 
     def test_format(self, result):
         assert "Table III(a)" in result.format()
@@ -77,6 +88,13 @@ class TestFig7a:
         pts = result.superlinear_points("large Lead Titanate")
         assert 54 in pts and 462 in pts
 
+    def test_runtimes_fall_and_small_tracks_ideal(self, result):
+        for s in result.series:
+            assert s.runtime_min == sorted(s.runtime_min, reverse=True)
+        small = result.series[0]
+        ideal = small.ideal_runtime_min()
+        assert min(t / i for t, i in zip(small.runtime_min, ideal)) < 1.2
+
     def test_ideal_line_anchored(self, result):
         s = result.series[0]
         assert s.ideal_runtime_min()[0] == pytest.approx(s.runtime_min[0])
@@ -88,7 +106,7 @@ class TestFig7a:
 class TestFig7b:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig7b(gpu_counts=(24, 198, 462))
+        return run_fig7b(gpu_counts=(24, 54, 198, 462))
 
     def test_both_planners_present(self, result):
         planners = {r.planner for r in result.rows}
@@ -110,6 +128,11 @@ class TestFig7b:
         )
         assert row.comm_min > row.compute_min
 
+    def test_appp_total_always_wins(self, result):
+        for gpus in (54, 462):
+            rows = {r.planner: r for r in result.rows if r.gpus == gpus}
+            assert rows["appp"].total_min < rows["w/o appp"].total_min
+
     def test_format(self, result):
         assert "Fig. 7b" in result.format()
 
@@ -122,8 +145,16 @@ class TestFig8:
 
     def test_hve_has_seams(self, result):
         assert result.hve_has_seams
+        assert result.seam_hve > result.seam_gd
 
     def test_gd_seam_free(self, result):
+        assert result.gd_seam_free
+        assert abs(result.seam_gd - result.seam_serial) < 0.25
+
+    @pytest.mark.slow
+    def test_default_run_has_paper_shape(self):
+        result = run_fig8()
+        assert result.hve_has_seams
         assert result.gd_seam_free
 
     def test_volumes_returned(self, result):
@@ -157,6 +188,14 @@ class TestFig9:
 
     def test_communication_savings(self, result):
         assert result.communication_savings() > 2.0
+        assert result.communication_savings() > 3.0
+
+    @pytest.mark.slow
+    def test_paper_mesh(self):  # 42 ranks (6x7)
+        result = run_fig9(iterations=8)
+        assert result.reduced_frequency_wins()
+        assert result.communication_savings() > 2.0
+        assert all(h[-1] < h[0] for h in result.histories.values())
 
     def test_format(self, result):
         assert "Fig. 9" in result.format()

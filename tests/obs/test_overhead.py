@@ -8,9 +8,12 @@ noise, so instead this bounds the overhead from first principles:
     (guard sites crossed per run)  x  (cost of one disabled guard)
 
 must be under 2% of the measured untraced runtime.  The site count
-comes from a traced run of the same configuration (every span and
-counter a traced run records is a guard an untraced run branches
-past), padded 4x to cover guard sites that fire without recording.
+comes from a traced run of the same configuration: every event it
+recorded or dropped plus the sum of every counter's value, doubled.
+The sum is rough: a six-key FFT ``add()`` counts as six sites, and
+``fft.seconds`` is summed as if it were a site count.  The 2x pads the
+guards that branch without recording.  On a 2-vCPU x86 box this reads
+1.2-1.3% against the 2% bound, so a 4x pad (2.4-2.7%) would fail.
 Slow-marked: runs the pinned small stack several times.
 """
 

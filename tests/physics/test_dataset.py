@@ -136,6 +136,7 @@ class TestSimulation:
         clean = simulate_dataset(spec, seed=3)
         noisy = simulate_dataset(spec, seed=3, poisson_dose=1e4)
         assert not np.allclose(clean.amplitudes, noisy.amplitudes)
+        assert float(noisy.amplitudes.min()) >= 0.0
 
     def test_poisson_noise_scales_with_dose(self):
         spec = scaled_pbtio3_spec(scan_grid=(3, 3), detector_px=16, n_slices=2)

@@ -149,6 +149,17 @@ class TestValidation:
         with pytest.raises(JobError, match="closed"):
             service.submit(tiny_dataset, gd_config(tiny_lr))
 
+    def test_resume_after_close_raises(self, tiny_dataset, tiny_lr, tmp_path):
+        service = ReconstructionService(tmp_path / "svc", workers=1)
+        service.close()
+        record = create_job(service.root, tiny_dataset, gd_config(tiny_lr))
+        record.state = JobState.PAUSED
+        jobstore.save_record(service.root, record)
+        with pytest.raises(JobError, match="closed"):
+            service.resume(record.job_id)
+        after = load_record(service.root, record.job_id)
+        assert (after.state, after.resumes) == (JobState.PAUSED, 0)
+
     def test_result_of_unfinished_job_raises(
         self, tiny_dataset, tiny_lr, service_factory
     ):
