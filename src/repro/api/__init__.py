@@ -10,8 +10,8 @@ The pieces (one module each):
   ``"hve"`` and ``"serial"`` are registered by :mod:`repro.api.solvers`,
   third-party solvers register the same way.
 * :func:`reconstruct` — the single entry point running any config.
-* :class:`IterationEvent` / :class:`CheckpointPolicy` /
-  :class:`HistoryRecorder` — the structured observer API.
+* :class:`IterationEvent` / :class:`CheckpointPolicy` — the structured
+  observer API.
 
 Minimal use::
 
@@ -44,7 +44,6 @@ from repro.api.solvers import (
 )
 from repro.api.events import (
     CheckpointPolicy,
-    HistoryRecorder,
     IterationEvent,
     Observer,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "IterationEvent",
     "Observer",
     "CheckpointPolicy",
-    "HistoryRecorder",
     "reconstruct",
     "ResumeMismatchError",
     "RUN_PARAM_KEYS",

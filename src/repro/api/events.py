@@ -21,7 +21,6 @@ __all__ = [
     "Observer",
     "dispatch",
     "CheckpointPolicy",
-    "HistoryRecorder",
 ]
 
 
@@ -94,29 +93,3 @@ class CheckpointPolicy:
     def latest(self) -> Optional[Path]:
         """Newest checkpoint on disk, or None before the first write."""
         return self.saved_paths[-1] if self.saved_paths else None
-
-
-class HistoryRecorder:
-    """Observer that accumulates every event — the list-append idiom as a
-    named class, handy for tests and notebooks::
-
-        rec = HistoryRecorder()
-        repro.reconstruct(dataset, config, observers=[rec])
-        rec.events[-1].cost
-
-    Note each event's lazy ``snapshot`` thunk keeps the run's engine
-    state (per-rank volumes etc.) alive for as long as the event is
-    retained; after a large run, keep the scalars you need (e.g.
-    :attr:`costs`) and drop the recorder rather than holding it.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[IterationEvent] = []
-
-    def __call__(self, event: IterationEvent) -> None:
-        self.events.append(event)
-
-    @property
-    def costs(self) -> List[float]:
-        """Cost curve seen so far."""
-        return [e.cost for e in self.events]

@@ -10,7 +10,6 @@ registration.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -19,8 +18,8 @@ from repro.api.config import ReconstructionConfig
 from repro.api.registry import solver_from_config
 from repro.backend.base import resolve_backend, resolve_precision
 from repro.data import open_store, resolve_batch_size
-from repro.core.observers import IterationEvent, Observer, dispatch
-from repro.core.reconstructor import ReconstructionResult, fold_leg
+from repro.core.observers import Observer
+from repro.core.reconstructor import ReconstructionResult, fold_leg, relay_leg
 from repro.io.storage import ResultArchive, load_result
 from repro.obs import telemetry as _obs
 from repro.physics.dataset import PtychoDataset
@@ -79,9 +78,12 @@ def reconstruct(
     returned result — like every event's ``snapshot()``, hence every
     checkpoint — carries the archive's ledger (history, traffic, memory
     peaks) folded in, so it describes the whole run, as the
-    uninterrupted run's would.  A resumed streamed run fast-forwards
-    its scan source past the archive's iterations.  Event scalars
-    (``iteration``, ``messages``, ...) stay counted from this call.
+    uninterrupted run's would.  Events are run-global too
+    (:func:`~repro.core.reconstructor.relay_leg`): ``iteration``,
+    ``n_iterations`` and the traffic counters continue the archive's,
+    so checkpoint names and cadence follow run iterations; only
+    ``elapsed_s`` counts from this call.  A resumed streamed run
+    fast-forwards its scan source past the archive's iterations.
 
     Raises
     ------
@@ -173,8 +175,8 @@ def reconstruct(
         # from the dataset's nominal one.
         if initial_probe is None and archive.probe is not None:
             initial_probe = archive.probe
-    if prior is not None and observers:
-        observers = (_continuing(observers, prior),)
+    if prior is not None and observers and solver is not None:
+        observers = (relay_leg(observers, prior),)
     # A recorder already activated by the caller (the CLI's --trace, a
     # service worker) is reused so its spans and the run's spans land on
     # one timeline; otherwise the usual precedence applies — explicit
@@ -189,21 +191,20 @@ def reconstruct(
             # sibling registry, so a top-level import would be circular.
             from repro.api.streaming import run_streaming
 
-            leg = run_streaming(
+            return run_streaming(
                 dataset,
                 cfg,
                 observers=observers,
                 initial_probe=initial_probe,
                 initial_volume=initial_volume,
-                offset=len(prior.history) if prior is not None else 0,
+                prior=prior,
             )
-        else:
-            leg = solver.reconstruct(
-                dataset,
-                observers=observers,
-                initial_probe=initial_probe,
-                initial_volume=initial_volume,
-            )
+        leg = solver.reconstruct(
+            dataset,
+            observers=observers,
+            initial_probe=initial_probe,
+            initial_volume=initial_volume,
+        )
         return fold_leg(leg, prior)
 
     ambient = _obs.current()
@@ -218,20 +219,3 @@ def reconstruct(
         result.telemetry = tel.summary()
         return result
     return _run()
-
-
-def _continuing(
-    observers: Sequence[Observer], prior: ResultArchive
-) -> Observer:
-    """One observer relaying events to ``observers`` with ``prior``'s
-    ledger folded into each ``snapshot()``."""
-
-    def relay(event: IterationEvent) -> None:
-        dispatch(
-            observers,
-            replace(
-                event, snapshot=lambda: fold_leg(event.snapshot(), prior)
-            ),
-        )
-
-    return relay

@@ -19,9 +19,10 @@ Between epochs the driver pumps the feeder (sweep-keyed schedules) or
 waits, bounded by the policy timeout, for new frames (timed schedules) —
 the WAIT half of the WAIT/END_OF_SCAN semantics.  Once coverage is
 complete or the scan ended, the remaining iterations run as one final
-epoch.  Observers see a single continuous run: epoch-local events are
-re-emitted with leg-global iteration numbers, accumulated
-history/traffic, merged snapshots, and the coverage fraction stamped on
+epoch.  Observers see a single continuous run: each epoch's events pass
+through :func:`~repro.core.reconstructor.relay_leg`, as a resumed static
+run's do, so they are run-global (a resume archive's iterations and
+traffic included) and carry the coverage fraction on
 :attr:`~repro.core.observers.IterationEvent.coverage`.
 """
 
@@ -35,8 +36,8 @@ import numpy as np
 
 from repro.api.config import ReconstructionConfig
 from repro.api.registry import solver_from_config
-from repro.core.observers import IterationEvent, Observer, dispatch
-from repro.core.reconstructor import ReconstructionResult, fold_leg
+from repro.core.observers import Observer
+from repro.core.reconstructor import ReconstructionResult, fold_leg, relay_leg
 from repro.data.streaming import (
     ScanSource,
     StreamError,
@@ -45,56 +46,11 @@ from repro.data.streaming import (
     StreamPolicy,
     build_scan_source,
 )
+from repro.io.storage import ResultArchive
 from repro.obs import telemetry as _obs
 from repro.physics.dataset import PtychoDataset
 
 __all__ = ["run_streaming"]
-
-
-class _EpochRelay:
-    """Re-emits one epoch's events as leg-global events.
-
-    Downstream observers (progress streams, checkpoint policies, the
-    service leg controller) see iteration numbers counted across the
-    whole leg, cumulative traffic, snapshots folded onto ``prior`` (the
-    epochs before this one, ``None`` for the first) and the coverage
-    fraction — so they work on streamed runs unchanged.
-    """
-
-    def __init__(
-        self,
-        observers: Tuple[Observer, ...],
-        prior: Optional[ReconstructionResult],
-        elapsed_s: float,
-        it_offset: int,
-        n_iterations: int,
-        coverage: float,
-    ) -> None:
-        self.observers = observers
-        self.prior = prior
-        self.elapsed_s = elapsed_s
-        self.it_offset = it_offset
-        self.n_iterations = n_iterations
-        self.coverage = coverage
-
-    def __call__(self, event: IterationEvent) -> None:
-        prior = self.prior
-        dispatch(
-            self.observers,
-            IterationEvent(
-                solver=event.solver,
-                iteration=self.it_offset + event.iteration,
-                n_iterations=self.n_iterations,
-                cost=event.cost,
-                elapsed_s=self.elapsed_s + event.elapsed_s,
-                messages=event.messages + (prior.messages if prior else 0),
-                message_bytes=event.message_bytes
-                + (prior.message_bytes if prior else 0),
-                peak_memory_bytes=event.peak_memory_bytes,
-                snapshot=lambda: fold_leg(event.snapshot(), prior),
-                coverage=self.coverage,
-            ),
-        )
 
 
 def _epoch_config(
@@ -153,17 +109,17 @@ def run_streaming(
     *,
     initial_probe: Optional[np.ndarray] = None,
     initial_volume: Optional[np.ndarray] = None,
-    offset: int = 0,
+    prior: Optional[ResultArchive] = None,
 ) -> ReconstructionResult:
     """Execute a streamed reconstruction (see module docstring).
 
     Called by :func:`repro.api.reconstruct.reconstruct` when
     ``config.scan_source`` is set; not normally invoked directly.
-    ``offset`` is how many iterations a resumed run's archive had
-    already run: the feeder fast-forwards its sweep clock by it, so
-    the sweep-keyed waves that had arrived before the interrupt are
-    re-delivered up front, deterministically rebuilding the frame
-    journal the interrupted run had seen.
+    ``prior`` is a resumed run's archive: its ledger is folded into the
+    events and the result, and the feeder fast-forwards its sweep clock
+    by its iterations, so the sweep-keyed waves that had arrived before
+    the interrupt are re-delivered up front, deterministically
+    rebuilding the frame journal the interrupted run had seen.
     """
     policy = StreamPolicy.from_mapping(config.stream_policy)
     source: ScanSource = build_scan_source(
@@ -196,7 +152,9 @@ def run_streaming(
     volume = initial_volume
     probe = initial_probe
     epoch_probe: Optional[np.ndarray] = None
-    result: Optional[ReconstructionResult] = None
+    banked = len(prior.history) if prior is not None else 0
+    # The run so far: the resume archive, then each epoch folded on.
+    ledger: Any = prior
 
     try:
         # -- prime: first frames must exist before iteration 0 ---------
@@ -204,7 +162,7 @@ def run_streaming(
             feeder.start()
             _wait_for_frames(store, policy.min_start_frames, policy)
         else:
-            feeder.feed_until(offset)
+            feeder.feed_until(banked)
         status = store.poll()
         if tel.enabled:
             tel.add({"stream.frames_arrived": float(status.arrived)})
@@ -257,9 +215,9 @@ def run_streaming(
             # itself; open_store passes instances straight through.
             inner = getattr(solver, "inner", solver)
             inner.options = replace(inner.options, data_source=store)
-            relay = _EpochRelay(
-                run_observers, result, elapsed_s, it_done, total,
-                coverage_frac,
+            relay = relay_leg(
+                run_observers, ledger, n_iterations=banked + total,
+                elapsed_s=elapsed_s, coverage=coverage_frac,
             )
             kwargs: Dict[str, Any] = {
                 "observers": (relay,),
@@ -284,10 +242,10 @@ def run_streaming(
             else:
                 epoch = solver.reconstruct(dataset, **kwargs)
             elapsed_s += time.perf_counter() - t0
-            result = fold_leg(epoch, result)
-            volume = result.volume
-            if result.probe is not None:
-                epoch_probe = result.probe
+            ledger = fold_leg(epoch, ledger)
+            volume = ledger.volume
+            if ledger.probe is not None:
+                epoch_probe = ledger.probe
             it_done += n_iter
             epoch_index += 1
             prev_covered = len(covered)
@@ -296,7 +254,7 @@ def run_streaming(
             # -- pump arrivals for the next epoch ----------------------
             arrived_before = status.arrived
             if feeder.mode == "sweep":
-                delivered = feeder.feed_until(offset + it_done)
+                delivered = feeder.feed_until(banked + it_done)
                 if tel.enabled and delivered:
                     tel.add({"stream.frames_arrived": float(delivered)})
             else:
@@ -316,5 +274,5 @@ def run_streaming(
     finally:
         feeder.stop()
 
-    assert result is not None  # total > 0
-    return result
+    assert isinstance(ledger, ReconstructionResult)  # total > 0
+    return ledger

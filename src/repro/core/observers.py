@@ -37,24 +37,31 @@ __all__ = [
 class IterationEvent:
     """One iteration of a reconstruction, as seen by observers.
 
+    Events are **run-global**: resumed runs and streaming epochs relay
+    theirs through :func:`~repro.core.reconstructor.relay_leg`, so
+    ``iteration``, ``n_iterations`` and traffic read as in the
+    uninterrupted run.  ``elapsed_s`` alone is per call: result archives
+    carry no elapsed time to continue from.
+
     Attributes
     ----------
     solver:
         Registry name of the emitting solver (``"gd"``, ``"hve"``,
         ``"serial"``, or a third-party registration).
     iteration:
-        0-based iteration index just completed.
+        0-based run iteration just completed.
     n_iterations:
-        Total iterations the run will execute.
+        Iterations the run will have executed when this call ends (a
+        resumed leg's archive iterations plus its own).
     cost:
         Sweep cost of this iteration (what ends up in
         ``ReconstructionResult.history``).
     elapsed_s:
-        Wall-clock seconds since the reconstruction started.
+        Wall-clock seconds since this call started (see above).
     messages / message_bytes:
-        Cumulative point-to-point traffic measured so far.
+        Cumulative point-to-point traffic of the run so far.
     peak_memory_bytes:
-        Mean per-rank peak allocation measured so far.
+        Mean per-rank peak allocation measured so far by this call.
     snapshot:
         Zero-argument callable materializing the reconstruction state as
         a :class:`~repro.core.reconstructor.ReconstructionResult`

@@ -47,7 +47,12 @@ import numpy as np
 
 from repro.core.decomposition import Decomposition, decompose_gradient
 from repro.obs import telemetry as _obs
-from repro.core.observers import IterationEmitter, Observer
+from repro.core.observers import (
+    IterationEmitter,
+    IterationEvent,
+    Observer,
+    dispatch,
+)
 from repro.core.passes import (
     build_allreduce_sync,
     build_appp_passes,
@@ -78,6 +83,7 @@ __all__ = [
     "GradientDecompositionReconstructor",
     "ReconstructionResult",
     "fold_leg",
+    "relay_leg",
     "run_plan",
     "run_session",
     "schedule_probe_update",
@@ -182,6 +188,46 @@ def fold_leg(leg: _Leg, prior: Any) -> _Leg:
             )
         ],
     )
+
+
+def relay_leg(
+    observers: Sequence[Observer],
+    prior: Any,
+    *,
+    n_iterations: Optional[int] = None,
+    elapsed_s: float = 0.0,
+    coverage: Optional[float] = None,
+) -> Observer:
+    """The event-side twin of :func:`fold_leg`: one observer re-emitting
+    a leg's events to ``observers`` as the uninterrupted run's.
+
+    ``iteration`` and ``n_iterations`` shift by ``len(prior.history)``,
+    the traffic counters gain ``prior``'s and ``snapshot()`` folds
+    ``prior`` in (``prior=None`` shifts nothing).  ``elapsed_s`` stays
+    per call, offset only by earlier epochs of the call.  A streaming
+    epoch passes the run's total as ``n_iterations`` (its own would fire
+    ``is_last`` early) and its ``coverage``.
+    """
+    done = len(prior.history) if prior is not None else 0
+    messages = int(prior.messages) if prior is not None else 0
+    message_bytes = int(prior.message_bytes) if prior is not None else 0
+
+    def relay(event: IterationEvent) -> None:
+        dispatch(observers, replace(
+            event,
+            iteration=done + event.iteration,
+            n_iterations=(
+                done + event.n_iterations if n_iterations is None
+                else n_iterations
+            ),
+            elapsed_s=elapsed_s + event.elapsed_s,
+            messages=messages + event.messages,
+            message_bytes=message_bytes + event.message_bytes,
+            snapshot=lambda: fold_leg(event.snapshot(), prior),
+            coverage=coverage,
+        ))
+
+    return relay
 
 
 def run_session(

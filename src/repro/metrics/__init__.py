@@ -18,13 +18,11 @@ from repro.metrics.image_quality import (
 )
 from repro.metrics.convergence import (
     relative_decrease,
-    iterations_to_fraction,
     auc_cost,
 )
 from repro.metrics.scaling import (
     speedups,
     strong_scaling_efficiency,
-    is_superlinear,
 )
 from repro.metrics.frc import (
     FrcCurve,
@@ -40,11 +38,9 @@ __all__ = [
     "complex_correlation",
     "phase_rmse",
     "relative_decrease",
-    "iterations_to_fraction",
     "auc_cost",
     "speedups",
     "strong_scaling_efficiency",
-    "is_superlinear",
     "FrcCurve",
     "fourier_ring_correlation",
     "resolution_cutoff",

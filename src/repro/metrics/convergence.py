@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["relative_decrease", "iterations_to_fraction", "auc_cost"]
+__all__ = ["relative_decrease", "auc_cost"]
 
 
 def _check_history(history: Sequence[float]) -> np.ndarray:
@@ -22,18 +22,6 @@ def relative_decrease(history: Sequence[float]) -> float:
     if arr[0] == 0:
         return 0.0 if arr[-1] == 0 else float("inf")
     return float(arr[-1] / arr[0])
-
-
-def iterations_to_fraction(history: Sequence[float], fraction: float) -> int:
-    """First iteration index whose cost drops to ``fraction * initial``;
-    ``len(history)`` when never reached.  The Fig. 9 comparison metric
-    ("which communication frequency reaches a target residual first")."""
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError("fraction must be in (0, 1]")
-    arr = _check_history(history)
-    target = arr[0] * fraction
-    hits = np.flatnonzero(arr <= target)
-    return int(hits[0]) if hits.size else len(arr)
 
 
 def auc_cost(history: Sequence[float]) -> float:

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
-__all__ = ["speedups", "strong_scaling_efficiency", "is_superlinear"]
+__all__ = ["speedups", "strong_scaling_efficiency"]
 
 
 def _check(times: Sequence[float], units: Sequence[int]) -> None:
@@ -32,14 +30,3 @@ def strong_scaling_efficiency(
     _check(times, units)
     base = times[0] * units[0]
     return [100.0 * base / (t * u) for t, u in zip(times, units)]
-
-
-def is_superlinear(
-    times: Sequence[float], units: Sequence[int], index: int
-) -> bool:
-    """True when configuration ``index`` scales super-linearly relative to
-    the base (> 100% efficiency, the paper's headline behaviour)."""
-    eff = strong_scaling_efficiency(times, units)
-    if not (0 <= index < len(eff)):
-        raise ValueError("index out of range")
-    return eff[index] > 100.0

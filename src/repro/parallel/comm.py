@@ -247,7 +247,8 @@ class VirtualComm:
         every rank (the probe-gradient collective).
 
         Byte accounting charges the ring-allreduce volume
-        ``2*(P-1)/P * nbytes`` per rank, whatever moved the data.
+        ``2*(P-1) * nbytes`` in total, ``1/P`` of it per rank, whatever
+        moved the data.
         """
         if len(contributions) != len(self._hosted):
             raise CommError(
@@ -257,10 +258,10 @@ class VirtualComm:
         total = self._sum_across(list(zip(self._hosted, contributions)))
         if self._books_collectives:
             p = self._n_ranks
-            share = 2.0 * (p - 1) / p * total.nbytes
-            self.sent_bytes += int(share * p)
+            moved = 2 * (p - 1) * total.nbytes
+            self.sent_bytes += moved
             self.sent_messages += 2 * (p - 1)
-            self.per_rank_sent_bytes += int(share)
+            self.per_rank_sent_bytes += moved // p
             self.allreduce_calls += 1
         return total
 
@@ -298,13 +299,14 @@ class VirtualComm:
             buf, sl = self._tiles[rank]
             buf[...] = total[(slice(None), *sl)]
         # Ring all-reduce accounting: each rank moves 2*(P-1)/P of the
-        # frame, in 2*(P-1) messages.
+        # frame, in 2*(P-1) messages, so the ring moves 2*(P-1) frames
+        # (booked in integers: the per-rank share need not be whole).
         p = self._n_ranks
         if p > 1 and self._books_collectives:
-            share = int(2 * (p - 1) / p * total.nbytes)
-            self.sent_bytes += share * p
+            moved = 2 * (p - 1) * total.nbytes
+            self.sent_bytes += moved
             self.sent_messages += 2 * (p - 1) * p
-            self.per_rank_sent_bytes += share
+            self.per_rank_sent_bytes += moved // p
             self.allreduce_calls += 1
 
     # ------------------------------------------------------------------

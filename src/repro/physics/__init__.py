@@ -18,7 +18,6 @@ all angles in radians, all energies in electron-volts.
 from repro.physics.constants import (
     electron_wavelength_pm,
     interaction_parameter,
-    relativistic_mass_factor,
 )
 from repro.physics.probe import Probe, ProbeSpec, make_probe
 from repro.physics.propagation import FresnelPropagator
@@ -37,7 +36,6 @@ from repro.physics.dataset import (
 __all__ = [
     "electron_wavelength_pm",
     "interaction_parameter",
-    "relativistic_mass_factor",
     "Probe",
     "ProbeSpec",
     "make_probe",

@@ -15,7 +15,6 @@ __all__ = [
     "SPEED_OF_LIGHT_PM_S",
     "ELECTRON_REST_ENERGY_EV",
     "electron_wavelength_pm",
-    "relativistic_mass_factor",
     "interaction_parameter",
 ]
 
@@ -40,13 +39,6 @@ def electron_wavelength_pm(energy_ev: float) -> float:
     return (PLANCK_EV_S * SPEED_OF_LIGHT_PM_S) / math.sqrt(
         energy_ev * (energy_ev + 2.0 * ELECTRON_REST_ENERGY_EV)
     )
-
-
-def relativistic_mass_factor(energy_ev: float) -> float:
-    """Lorentz factor ``gamma = 1 + E / m0c^2`` for beam energy ``E``."""
-    if energy_ev <= 0:
-        raise ValueError(f"beam energy must be positive, got {energy_ev}")
-    return 1.0 + energy_ev / ELECTRON_REST_ENERGY_EV
 
 
 def interaction_parameter(energy_ev: float) -> float:

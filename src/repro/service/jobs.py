@@ -338,9 +338,10 @@ def consolidate_from_archive(
 
     The checkpoint already carries the whole run's ledger, so the
     record only notes how many iterations it covers.  The archive is
-    moved to ``seed.npz`` and the leg's other checkpoints are dropped
-    (their iteration numbering is leg-local and would collide with the
-    next leg's).
+    moved to ``seed.npz`` and the leg's other checkpoints are dropped:
+    their run-iteration names no longer collide with the next leg's,
+    but each is older than the seed, and :func:`prepare_resume` would
+    roll a crashed next leg back to the newest of them.
     """
     from repro.io.storage import load_result
 

@@ -12,10 +12,11 @@ mirrors each update to ``progress.json`` in the job directory, so a
 host, and sends it to the service, which hands it to the job's stream
 through :meth:`ProgressStream.publish`.
 
-Updates count iterations **globally**: a resumed job leg passes the
-iterations already banked by earlier legs as ``offset``, so a client
-watching a cancel→resume job sees 1..N, not two runs of leg-local
-counters.
+Updates count iterations **globally** because events do: a resumed
+or streamed run emits run-global ``iteration`` and ``n_iterations``
+(see :func:`~repro.core.reconstructor.relay_leg`), so a client
+watching a cancel→resume job sees 1..N of N, not two runs of
+leg-local counters, with no offset for the stream to add back.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ __all__ = ["ProgressUpdate", "ProgressStream", "read_progress"]
 class ProgressUpdate:
     """One iteration of a job, as seen by progress clients.
 
-    ``iteration`` is 1-based and global across resumed legs;
+    ``iteration`` is 1-based and global across resumed legs, and
+    ``total`` is the run's iteration count as the event reported it;
     ``iter_per_s``/``eta_s`` are measured over the current leg (the only
     wall-clock this process observed).  ``backend``/``dtype`` echo the
     pinned compute stack of the job's config and ``phase`` is the most
@@ -74,10 +76,6 @@ class ProgressStream:
     ----------
     job_id:
         Identifier stamped on every update.
-    total:
-        Total iterations of the *job* (across all legs).
-    offset:
-        Iterations banked by earlier legs (0 for a fresh job).
     mirror_path:
         Optional JSON file updated atomically with the latest update,
         so other processes can poll the run.
@@ -90,33 +88,30 @@ class ProgressStream:
     def __init__(
         self,
         job_id: str,
-        total: int,
-        offset: int = 0,
         mirror_path: Optional[Union[str, Path]] = None,
         backend: Optional[str] = None,
         dtype: Optional[str] = None,
     ) -> None:
         self.job_id = job_id
-        self.total = total
-        self.offset = offset
         self.mirror_path = Path(mirror_path) if mirror_path else None
         self.backend = backend
         self.dtype = dtype
         self._updates: List[ProgressUpdate] = []
         self._cond = threading.Condition()
         self._closed = False
+        self._seen = 0  # events seen: what per-call elapsed_s times
 
     # -- observer side -------------------------------------------------
     def __call__(self, event: IterationEvent) -> None:
-        leg_done = event.iteration + 1
-        rate = leg_done / event.elapsed_s if event.elapsed_s > 0 else 0.0
-        done = self.offset + leg_done
-        remaining = max(self.total - done, 0)
+        self._seen += 1
+        rate = self._seen / event.elapsed_s if event.elapsed_s > 0 else 0.0
+        done = event.iteration + 1
+        remaining = max(event.n_iterations - done, 0)
         tel = _obs.current()
         self.publish(ProgressUpdate(
             job_id=self.job_id,
             iteration=done,
-            total=self.total,
+            total=event.n_iterations,
             cost=float(event.cost),
             elapsed_s=float(event.elapsed_s),
             iter_per_s=rate,

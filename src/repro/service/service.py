@@ -117,8 +117,9 @@ class _LegController:
     Requests arrive as ``control.json`` in the job directory (written by
     ``service.cancel/pause`` and by the ``jobs`` CLI alike), read at
     every iteration boundary; when one fires — immediately, or once
-    ``at_iteration`` global iterations are banked — the controller
-    archives the current state and raises :class:`_LegInterrupted`.
+    ``at_iteration`` run iterations are banked (events count across
+    legs) — the controller archives the current state and raises
+    :class:`_LegInterrupted`.
     """
 
     def __init__(
@@ -126,22 +127,19 @@ class _LegController:
         root: Path,
         record: JobRecord,
         base_config: ReconstructionConfig,
-        offset: int,
     ) -> None:
         self.root = root
         self.record = record
         self.base_config = base_config
-        self.offset = offset
 
     def __call__(self, event: IterationEvent) -> None:
         request = jobstore.read_control(self.root, self.record.job_id)
         if request is None:
             return
-        done = self.offset + event.iteration + 1
         at = request.get("at_iteration")
-        if at is not None and done < at:
+        if at is not None and event.iteration + 1 < at:
             return
-        if done >= self.record.iterations_total:
+        if event.is_last:
             # The run is finishing this very iteration; completing wins.
             return
         directory = jobstore.checkpoints_dir(self.root, self.record.job_id)
@@ -244,12 +242,12 @@ def _run_leg(
             )
             record.config = base_config.to_dict()
             jobstore.save_record(root, record)
-        offset = record.iterations_done
-        remaining = record.iterations_total - offset
+        done = record.iterations_done
+        remaining = record.iterations_total - done
         logger.info(
             "job %s: leg starting on %s/%s (iterations %d..%d of %d)",
             job_id, backend_name, dtype_name,
-            offset + 1, record.iterations_total, record.iterations_total,
+            done + 1, record.iterations_total, record.iterations_total,
         )
 
         # One recorder per leg, activated for the whole reconstruct
@@ -274,8 +272,6 @@ def _run_leg(
             _LegProgress(
                 conn,
                 job_id,
-                record.iterations_total,
-                offset=offset,
                 mirror_path=directory / "progress.json",
                 backend=backend_name,
                 dtype=dtype_name,
@@ -290,7 +286,7 @@ def _run_leg(
                     keep_last=2,
                 )
             )
-        observers.append(_LegController(root, record, base_config, offset))
+        observers.append(_LegController(root, record, base_config))
         # The resumed seed's ledger is folded in by reconstruct, so this
         # is the whole job's result.  Spans are per-leg wall-clock — only
         # the final leg's telemetry is attached (earlier legs' live on in
@@ -823,9 +819,7 @@ class ReconstructionService:
 
         proc, reader = self._fork_leg(record, dataset)
         del dataset  # the leg has its copy
-        stream = ProgressStream(
-            job_id, record.iterations_total, offset=record.iterations_done
-        )
+        stream = ProgressStream(job_id)
         with self._cond:
             self._progress[job_id] = stream
             if job_id in self._settled_order:  # resumed job: re-live

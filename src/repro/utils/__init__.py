@@ -1,4 +1,4 @@
-"""Shared low-level utilities: rectangle geometry, FFT helpers, validation.
+"""Shared low-level utilities: rectangle geometry and FFT helpers.
 
 These are the primitives everything else is built on.  ``Rect`` in
 particular is the lingua franca of the decomposition code: tiles, halos,
@@ -8,11 +8,6 @@ image coordinates.
 
 from repro.utils.geometry import Rect, intervals_overlap, union_rects
 from repro.utils.fftutils import fft2c, ifft2c, fftfreq_grid
-from repro.utils.validation import (
-    check_positive_int,
-    check_probability,
-    check_shape2d,
-)
 
 __all__ = [
     "Rect",
@@ -21,7 +16,4 @@ __all__ = [
     "fft2c",
     "ifft2c",
     "fftfreq_grid",
-    "check_positive_int",
-    "check_probability",
-    "check_shape2d",
 ]

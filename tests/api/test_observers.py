@@ -5,7 +5,6 @@ import pytest
 
 from repro.api import (
     CheckpointPolicy,
-    HistoryRecorder,
     ReconstructionConfig,
     reconstruct,
 )
@@ -23,27 +22,29 @@ def _config(solver, lr, iterations=3):
 class TestEventStream:
     @pytest.mark.parametrize("solver", ["gd", "hve", "serial"])
     def test_one_event_per_iteration(self, tiny_dataset, tiny_lr, solver):
-        recorder = HistoryRecorder()
+        events = []
         result = reconstruct(
-            tiny_dataset, _config(solver, tiny_lr), observers=[recorder]
+            tiny_dataset, _config(solver, tiny_lr), observers=[events.append]
         )
-        assert len(recorder.events) == 3
-        assert [e.iteration for e in recorder.events] == [0, 1, 2]
-        assert all(e.solver == solver for e in recorder.events)
-        assert all(e.n_iterations == 3 for e in recorder.events)
-        assert recorder.costs == result.history
-        assert recorder.events[-1].is_last
-        assert not recorder.events[0].is_last
+        assert len(events) == 3
+        assert [e.iteration for e in events] == [0, 1, 2]
+        assert all(e.solver == solver for e in events)
+        assert all(e.n_iterations == 3 for e in events)
+        assert [e.cost for e in events] == result.history
+        assert events[-1].is_last
+        assert not events[0].is_last
 
     def test_elapsed_and_traffic_monotonic(self, tiny_dataset, tiny_lr):
-        recorder = HistoryRecorder()
-        reconstruct(tiny_dataset, _config("gd", tiny_lr), observers=[recorder])
-        elapsed = [e.elapsed_s for e in recorder.events]
-        messages = [e.messages for e in recorder.events]
+        events = []
+        reconstruct(
+            tiny_dataset, _config("gd", tiny_lr), observers=[events.append]
+        )
+        elapsed = [e.elapsed_s for e in events]
+        messages = [e.messages for e in events]
         assert elapsed == sorted(elapsed)
         assert messages == sorted(messages)
         assert messages[-1] > 0
-        assert recorder.events[0].peak_memory_bytes > 0
+        assert events[0].peak_memory_bytes > 0
 
     def test_multiple_observers_in_order(self, tiny_dataset, tiny_lr):
         seen = []
@@ -69,26 +70,26 @@ class TestEventStream:
         )
 
     def test_late_snapshot_is_self_consistent(self, tiny_dataset, tiny_lr):
-        recorder = HistoryRecorder()
+        events = []
         result = reconstruct(
-            tiny_dataset, _config("gd", tiny_lr), observers=[recorder]
+            tiny_dataset, _config("gd", tiny_lr), observers=[events.append]
         )
         # snapshot() called after the run reflects the *final* state in
         # full — history, volume and counters all describe one moment.
-        late = recorder.events[0].snapshot()
+        late = events[0].snapshot()
         assert late.history == result.history
         assert late.messages == result.messages
         np.testing.assert_array_equal(late.volume, result.volume)
 
     def test_events_are_frozen(self, tiny_dataset, tiny_lr):
-        recorder = HistoryRecorder()
+        events = []
         reconstruct(
             tiny_dataset,
             _config("serial", tiny_lr, iterations=1),
-            observers=[recorder],
+            observers=[events.append],
         )
         with pytest.raises(AttributeError):
-            recorder.events[0].cost = 0.0
+            events[0].cost = 0.0
 
 
 class TestCheckpointPolicy:

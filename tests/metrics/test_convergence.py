@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.metrics.convergence import (
-    auc_cost,
-    iterations_to_fraction,
-    relative_decrease,
-)
+from repro.metrics.convergence import auc_cost, relative_decrease
 
 
 class TestRelativeDecrease:
@@ -23,24 +19,6 @@ class TestRelativeDecrease:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             relative_decrease([])
-
-
-class TestIterationsToFraction:
-    def test_first_hit(self):
-        history = [10.0, 6.0, 4.0, 1.0]
-        assert iterations_to_fraction(history, 0.5) == 2
-
-    def test_never_reached(self):
-        assert iterations_to_fraction([10.0, 9.0], 0.1) == 2
-
-    def test_immediately_satisfied(self):
-        assert iterations_to_fraction([5.0, 1.0], 1.0) == 0
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            iterations_to_fraction([1.0], 0.0)
-        with pytest.raises(ValueError):
-            iterations_to_fraction([1.0], 1.5)
 
 
 class TestAuc:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.metrics.scaling import (
-    is_superlinear,
-    speedups,
-    strong_scaling_efficiency,
-)
+from repro.metrics.scaling import speedups, strong_scaling_efficiency
 
 
 class TestSpeedups:
@@ -38,13 +34,3 @@ class TestEfficiency:
         paper = [100, 336, 448, 509, 518, 364]
         for ours, theirs in zip(eff, paper):
             assert ours == pytest.approx(theirs, rel=0.01)
-
-    def test_superlinear_detection(self):
-        times = [100.0, 20.0]  # 5x speedup on 4x units
-        units = [1, 4]
-        assert is_superlinear(times, units, 1)
-        assert not is_superlinear([100.0, 30.0], units, 1)
-
-    def test_superlinear_index_validation(self):
-        with pytest.raises(ValueError):
-            is_superlinear([1.0], [1], 3)

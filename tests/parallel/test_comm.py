@@ -144,6 +144,40 @@ class TestAllreduce:
         assert comm.sent_bytes == int(2.0 * (p - 1) / p * 80 * p)
         assert comm.pending_messages() == 0
 
+    @pytest.mark.parametrize("p", [3, 9])
+    def test_ring_volume_is_booked_in_whole_bytes(self, p):
+        """Both collectives book the ring's ``2(P-1)`` x the payload to
+        the byte.  A 56-byte payload at 3 or 9 ranks makes the per-rank
+        share ``2(P-1)/P`` x 56 fractional; rounding it (or the float
+        product) once booked a few bytes short."""
+        nbytes = 56
+        probe = VirtualComm(p)
+        probe.allreduce_sum([np.zeros(nbytes // 8) for _ in range(p)])
+        tiles = VirtualComm(p)
+        whole = (slice(0, nbytes // 8), slice(0, 1))
+        tiles.register_tile_buffers(
+            {r: np.ones((1, nbytes // 8, 1)) for r in range(p)},
+            {r: whole for r in range(p)},
+        )
+        tiles.accbuf_allreduce((1, nbytes // 8, 1))
+        for comm in (probe, tiles):
+            assert comm.sent_bytes == 2 * (p - 1) * nbytes
+            assert comm.per_rank_sent_bytes.tolist() == [
+                2 * (p - 1) * nbytes // p
+            ] * p
+
+    @pytest.mark.parametrize("p", [4, 16])
+    def test_ring_volume_unchanged_where_the_share_is_whole(self, p):
+        """At 4 and 16 ranks an 80-byte payload's per-rank share is whole,
+        so the integer booking equals the float formula it replaced:
+        the traffic these rank counts report does not move."""
+        comm = VirtualComm(p)
+        comm.allreduce_sum([np.zeros(10) for _ in range(p)])
+        assert comm.sent_bytes == int(2.0 * (p - 1) / p * 80 * p)
+        assert comm.per_rank_sent_bytes.tolist() == [
+            int(2.0 * (p - 1) / p * 80)
+        ] * p
+
     def test_single_rank_gets_a_copy_and_books_nothing(self, rng):
         comm = VirtualComm(1)
         buf = rng.normal(size=4)

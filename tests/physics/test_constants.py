@@ -5,7 +5,6 @@ import pytest
 from repro.physics.constants import (
     electron_wavelength_pm,
     interaction_parameter,
-    relativistic_mass_factor,
 )
 
 
@@ -31,21 +30,6 @@ class TestWavelength:
             electron_wavelength_pm(0.0)
         with pytest.raises(ValueError):
             electron_wavelength_pm(-5.0)
-
-
-class TestMassFactor:
-    def test_200kev(self):
-        # gamma = 1 + 200/511
-        assert relativistic_mass_factor(200_000.0) == pytest.approx(
-            1.3914, rel=1e-3
-        )
-
-    def test_low_energy_limit(self):
-        assert relativistic_mass_factor(1.0) == pytest.approx(1.0, abs=1e-5)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            relativistic_mass_factor(0.0)
 
 
 class TestInteractionParameter:

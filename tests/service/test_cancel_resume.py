@@ -142,6 +142,57 @@ class TestPause:
         updates = handle.progress().history()
         assert [u.iteration for u in updates] == [3, 4, 5, 6]
 
+    def test_two_resumes_publish_the_run(
+        self, tiny_dataset, tiny_lr, service_factory
+    ):
+        # Cancelled at 2 and at 4, resumed twice: the three legs'
+        # updates read as one run's, 1..6 of 6.
+        service = service_factory(workers=1)
+        updates = []
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(
+                tiny_dataset, gd_config(tiny_lr, iterations=6)
+            )
+            handle.cancel(at_iteration=2)
+        assert handle.wait(timeout=WAIT) == JobState.CANCELLED
+        updates += handle.progress().history()
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle.resume()
+            handle.cancel(at_iteration=4)
+        assert handle.wait(timeout=WAIT) == JobState.CANCELLED
+        updates += handle.progress().history()
+        handle.resume()
+        assert handle.wait(timeout=WAIT) == JobState.DONE, \
+            handle.record().error
+        updates += handle.progress().history()
+        assert [(u.iteration, u.total) for u in updates] == [
+            (i, 6) for i in range(1, 7)
+        ]
+
+    def test_checkpoint_cadence_follows_run_iterations(
+        self, tiny_dataset, tiny_lr, service_factory
+    ):
+        # Paused at 3: the resumed leg runs iterations 4..6 and
+        # checkpoints every second *run* iteration, not every second
+        # iteration of its own.
+        config = gd_config(tiny_lr, iterations=6)
+        service = service_factory(workers=1, checkpoint_every=2)
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(tiny_dataset, config)
+            handle.pause(at_iteration=3)
+        assert handle.wait(timeout=WAIT) == JobState.PAUSED
+        handle.resume()
+        assert handle.wait(timeout=WAIT) == JobState.DONE, \
+            handle.record().error
+        checkpoints = jobstore.checkpoints_dir(service.root, handle.job_id)
+        assert sorted(p.name for p in checkpoints.glob("*.npz")) == [
+            "checkpoint_iter0004.npz",
+            "checkpoint_iter0006.npz",
+        ]
+        direct = reconstruct(tiny_dataset, config)
+        at4 = load_result(checkpoints / "checkpoint_iter0004.npz")
+        assert at4.history == direct.history[:4]
+
 
 class TestCancelSemantics:
     def test_cancel_queued_job_never_runs(
