@@ -22,7 +22,7 @@ from repro.utils.fftutils import fft2c, ifft2c
 
 
 def best_of(fn, repeats=5):
-    fn()  # warm-up (plan caches, twiddle tables)
+    fn()  # warm-up (twiddle tables, allocator)
     return min(
         (lambda t0: (fn(), time.perf_counter() - t0)[1])(time.perf_counter())
         for _ in range(repeats)

@@ -99,7 +99,11 @@ from repro import api  # noqa: F401
 from repro import service  # noqa: F401
 from repro import experiments  # noqa: F401
 
-from repro.core import GradientDecompositionReconstructor, ReconstructionResult
+from repro.core import (
+    DivergenceError,
+    GradientDecompositionReconstructor,
+    ReconstructionResult,
+)
 from repro.baseline import HaloExchangeReconstructor, SerialReconstructor
 from repro.physics import (
     simulate_dataset,
@@ -150,6 +154,7 @@ __all__ = [
     "api",
     "service",
     "experiments",
+    "DivergenceError",
     "GradientDecompositionReconstructor",
     "ReconstructionResult",
     "HaloExchangeReconstructor",

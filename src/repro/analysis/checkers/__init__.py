@@ -14,7 +14,6 @@ from repro.analysis.checkers import (
     atomic,
     clock,
     fingerprint,
-    imports,
     locks,
     registries,
     telemetry,
@@ -25,7 +24,6 @@ __all__ = ["ALL_CHECKERS", "ALL_RULES"]
 ALL_CHECKERS = [
     clock,
     atomic,
-    imports,
     locks,
     fingerprint,
     registries,

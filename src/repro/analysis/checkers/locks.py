@@ -52,9 +52,9 @@ _BLOCKING_ATTRS = {
 }
 
 HINT_BLOCKING = (
-    "restructure so the blocking work happens outside the lock (evict "
-    "under the lock, act on the evicted object after releasing — see "
-    "repro.backend.base._evict_locked)"
+    "restructure so the blocking work happens outside the lock (take "
+    "what you need under the lock, act on it after releasing — see "
+    "repro.service.service.ReconstructionService._signal_legs)"
 )
 HINT_ORDER = (
     "pick one global acquisition order for these locks and nest "

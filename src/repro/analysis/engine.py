@@ -183,7 +183,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "AST-based invariant linter for this repository: enforces "
-            "the clock/atomic-write/import-guard/lock/fingerprint/"
+            "the clock/atomic-write/lock/fingerprint/"
             "registry/telemetry contracts (see CONTRIBUTING.md)."
         ),
     )

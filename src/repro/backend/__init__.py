@@ -44,16 +44,14 @@ from repro.backend.base import (
     get_backend,
     get_default_backend,
     register_backend,
-    release_backend,
     resolve_backend,
     resolve_precision,
     set_default_backend,
-    shutdown_backends,
     unregister_backend,
     use_backend,
 )
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.threaded import FFTPlan, ThreadedFFTBackend
+from repro.backend.threaded import ThreadedFFTBackend
 from repro.backend.cupy_backend import CupyBackend
 
 __all__ = [
@@ -65,8 +63,6 @@ __all__ = [
     "BackendUnavailableError",
     "register_backend",
     "unregister_backend",
-    "release_backend",
-    "shutdown_backends",
     "backend_names",
     "available_backend_names",
     "get_backend",
@@ -83,6 +79,5 @@ __all__ = [
     "DEFAULT_DTYPE_NAME",
     "NumpyBackend",
     "ThreadedFFTBackend",
-    "FFTPlan",
     "CupyBackend",
 ]

@@ -47,7 +47,7 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Type, Union
+from typing import Callable, Dict, Iterator, List, Type, Union
 
 import numpy as np
 
@@ -60,8 +60,6 @@ __all__ = [
     "BackendUnavailableError",
     "register_backend",
     "unregister_backend",
-    "release_backend",
-    "shutdown_backends",
     "backend_names",
     "available_backend_names",
     "get_backend",
@@ -215,32 +213,6 @@ class ArrayBackend(ABC):
             return np.dtype(np.complex64)
         return np.dtype(np.complex128)
 
-    def plan_stats(self) -> Dict[str, int]:
-        """Plan-cache statistics (zeroes for planless backends)."""
-        return {"plans": 0, "hits": 0}
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Release held resources (worker pools, plan caches, device
-        handles).  Idempotent; the base implementation is a no-op —
-        stateless backends (e.g. ``numpy``) keep transforming after
-        close, while backends that *do* hold state should also refuse
-        further transforms once closed (``threaded`` does).
-
-        Long-lived services that construct backends directly should
-        close them (or use the backend as a context manager); instances
-        cached by the registry are closed by
-        :func:`release_backend`/:func:`shutdown_backends` and whenever
-        their registration is removed or overwritten.
-        """
-        return
-
-    def __enter__(self) -> "ArrayBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -288,66 +260,20 @@ def register_backend(
         cls.name = name
         with _LOCK:
             _REGISTRY[name] = cls
-            stale = _evict_locked(name)
-        if stale is not None:
-            stale.close()
+            _INSTANCES.pop(name, None)
         return cls
 
     return decorator
 
 
-def _evict_locked(name: str) -> Optional[ArrayBackend]:
-    """Drop the cached instance under ``name``; the
-    caller must hold ``_LOCK`` and must ``close()`` the returned
-    instance *after* releasing it — ``close()`` can block on worker-pool
-    shutdown, and running it under the registry lock would stall every
-    concurrent backend resolution (see the ``lock-blocking`` rule of
-    :mod:`repro.analysis`)."""
-    return _INSTANCES.pop(name, None)
-
-
-def _close_instance(name: str) -> None:
-    """Evict and close the cached instance under ``name`` (if any) —
-    registry-held backends must not leak worker pools or plan caches
-    when their registration goes away.  Must be called
-    *without* holding ``_LOCK``: the close runs outside it."""
-    with _LOCK:
-        instance = _evict_locked(name)
-    if instance is not None:
-        instance.close()
-
-
 def unregister_backend(name: str) -> None:
-    """Remove a registration (mainly for tests and plugin teardown);
-    the cached instance, if any, is closed."""
+    """Remove a registration (mainly for tests and plugin teardown),
+    dropping its cached instance."""
     with _LOCK:
         if name not in _REGISTRY:
             raise UnknownBackendError(_unknown_message(name))
         del _REGISTRY[name]
-        stale = _evict_locked(name)
-    if stale is not None:
-        stale.close()
-
-
-def release_backend(name: str) -> None:
-    """Close and evict the cached instance of ``name``; the registration
-    itself stays, and the next :func:`get_backend` constructs a fresh
-    instance."""
-    with _LOCK:
-        if name not in _REGISTRY:
-            raise UnknownBackendError(_unknown_message(name))
-        instance = _evict_locked(name)
-    if instance is not None:
-        instance.close()
-
-
-def shutdown_backends() -> None:
-    """Close and evict every cached backend instance (process teardown
-    hook for services embedding the library)."""
-    with _LOCK:
-        names = list(_INSTANCES)
-    for name in names:
-        _close_instance(name)
+        _INSTANCES.pop(name, None)
 
 
 def backend_names() -> List[str]:
@@ -364,7 +290,7 @@ def get_backend(spec: Union[str, ArrayBackend]) -> ArrayBackend:
     """Resolve a name (or instance passthrough) to a backend instance.
 
     Default-constructed instances are cached per name, so repeated
-    lookups share plan caches and worker pools.
+    lookups share one instance.
     """
     if isinstance(spec, ArrayBackend):
         return spec
@@ -379,11 +305,7 @@ def get_backend(spec: Union[str, ArrayBackend]) -> ArrayBackend:
             f"environment (available: {', '.join(available_backend_names()) or '(none)'})"
         )
     with _LOCK:
-        cached = _INSTANCES.get(name)
-        if cached is None or getattr(cached, "closed", False):
-            # A user-closed instance must not poison later resolutions
-            # of the name — rebuild instead of handing out a dead
-            # backend.
+        if name not in _INSTANCES:
             _INSTANCES[name] = cls()
         return _INSTANCES[name]
 
@@ -409,7 +331,7 @@ def default_backend_name() -> str:
 def set_default_backend(spec: Union[str, ArrayBackend]) -> None:
     """Change the process-wide default backend (validated immediately).
     A configured *instance* is kept as the default itself — its worker
-    pool and plan cache serve every ambient resolution."""
+    count serves every ambient resolution."""
     get_backend(spec)  # validate registration/availability now
     _DEFAULT_SPEC[0] = spec
 

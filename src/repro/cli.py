@@ -454,6 +454,7 @@ def _cmd_reconstruct(args) -> int:
     from repro.api import ReconstructionConfig, reconstruct
     from repro.api.registry import SolverCapabilityError, UnknownSolverError
     from repro.backend import BackendUnavailableError
+    from repro.core import DivergenceError
     from repro.data import StoreUnavailableError
     from repro.io import load_dataset, save_result
 
@@ -518,7 +519,7 @@ def _cmd_reconstruct(args) -> int:
             result = reconstruct(dataset, config)
     except (UnknownSolverError, SolverCapabilityError,
             BackendUnavailableError, StoreUnavailableError,
-            ValueError, TypeError) as exc:
+            DivergenceError, ValueError, TypeError) as exc:
         print(f"reconstruct: error: {exc}", file=sys.stderr)
         return 2
 

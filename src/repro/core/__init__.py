@@ -30,6 +30,7 @@ from repro.core.passes import (
 from repro.core.engine import NumericEngine
 from repro.core.observers import IterationEvent, Observer, dispatch
 from repro.core.reconstructor import (
+    DivergenceError,
     GradientDecompositionReconstructor,
     ReconstructionResult,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "IterationEvent",
     "Observer",
     "dispatch",
+    "DivergenceError",
     "GradientDecompositionReconstructor",
     "ReconstructionResult",
     "stitch",

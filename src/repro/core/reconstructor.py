@@ -29,6 +29,7 @@ on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import (
@@ -80,6 +81,7 @@ from repro.schedule.ops import (
 )
 
 __all__ = [
+    "DivergenceError",
     "GradientDecompositionReconstructor",
     "ReconstructionResult",
     "fold_leg",
@@ -95,6 +97,27 @@ _PLANNERS: Dict[str, Callable] = {
     "allreduce": build_allreduce_sync,
     "neighbor": build_neighbor_exchanges,
 }
+
+
+class DivergenceError(RuntimeError):
+    """An iteration's cost came back non-finite: the run diverged.
+
+    Raised by :func:`run_session` before that iteration's event, so no
+    observer (checkpoints included) ever sees the non-finite state.
+    ``iteration`` counts from the start of the leg that diverged, and
+    ``last_finite_cost`` is ``None`` when the first iteration diverged.
+    """
+
+    def __init__(
+        self, solver: str, iteration: int, last_finite_cost: Optional[float]
+    ) -> None:
+        super().__init__(
+            f"{solver} diverged at iteration {iteration}: the cost is not "
+            f"finite (last finite cost: {last_finite_cost})"
+        )
+        self.solver = solver
+        self.iteration = iteration
+        self.last_finite_cost = last_finite_cost
 
 
 @dataclass
@@ -274,6 +297,10 @@ def run_session(
                     cost = session.step()
             else:
                 cost = session.step()
+            if not math.isfinite(cost):
+                raise DivergenceError(
+                    solver_name, it, history[-1] if history else None
+                )
             history.append(cost)
             emitter.emit(
                 it,

@@ -153,42 +153,6 @@ class TestAtomicWrite:
 
 
 # ----------------------------------------------------------------------
-# import-guard
-# ----------------------------------------------------------------------
-class TestImportGuard:
-    def test_violation(self, make_tree):
-        run = make_tree({
-            "src/repro/backend/gpu.py": _src(
-                """
-                import cupy
-                """
-            ),
-        })
-        findings = run(rules=["import-guard"])
-        assert [f.rule for f in findings] == ["import-guard"]
-        assert findings[0].line == 1
-        assert "cupy" in findings[0].message
-
-    def test_conforming_try_and_function_scope(self, make_tree):
-        run = make_tree({
-            "src/repro/backend/gpu.py": _src(
-                """
-                try:
-                    import cupy
-                except ImportError:
-                    cupy = None
-
-                def convert(x):
-                    import h5py
-
-                    return h5py, x
-                """
-            ),
-        })
-        assert run(rules=["import-guard"]) == []
-
-
-# ----------------------------------------------------------------------
 # lock-blocking
 # ----------------------------------------------------------------------
 class TestLockBlocking:

@@ -118,7 +118,7 @@ class TestAmbientResolution:
         assert resolve_backend(None).name == "numpy"
 
     def test_use_backend_honours_configured_instance(self, monkeypatch):
-        """A caller-configured instance (worker count, warm plan cache)
+        """A caller-configured instance (its worker count)
         serves the scope itself — not the cached default instance of the
         same registry name."""
         monkeypatch.delenv(ENV_BACKEND, raising=False)

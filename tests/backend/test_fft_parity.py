@@ -91,17 +91,35 @@ class TestThreadedParity:
         assert np.abs(th.fft2(field) - npb.fft2(field)).max() < 1e-12 * max(scale, 1.0)
         assert np.abs(th.ifft2(field) - npb.ifft2(field)).max() < 1e-12 * max(scale, 1.0)
 
-    def test_plan_cache_reuse(self, field):
+    def test_pool_path_is_bit_identical_to_one_worker(self, rng):
+        """At and above the cutoff the transform runs on the pool; it
+        must give the same bits as the serial path."""
         from repro.backend import ThreadedFFTBackend
 
-        b = ThreadedFFTBackend(workers=2)
-        assert b.plan_stats() == {"plans": 0, "hits": 0, "evictions": 0}
-        b.fft2(field)
-        b.fft2(field)
-        b.ifft2(field)
-        stats = b.plan_stats()
-        assert stats["plans"] == 1  # one signature
-        assert stats["hits"] == 2  # second fft2 + the ifft2
+        serial, pooled = ThreadedFFTBackend(workers=1), ThreadedFFTBackend(workers=2)
+        for shape in [(2, 16, 32, 32), (1, 16, 64, 64)]:
+            for dtype in (np.complex64, np.complex128):
+                x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(dtype)
+                for one, two in ((serial.fft2, pooled.fft2), (serial.ifft2, pooled.ifft2)):
+                    out = two(x)
+                    assert out.dtype == dtype
+                    assert np.array_equal(out, one(x))
+
+    def test_worker_count_decided_per_call(self, monkeypatch):
+        import scipy.fft
+
+        from repro.backend import ThreadedFFTBackend
+
+        seen = []
+        monkeypatch.setattr(
+            scipy.fft, "fft2",
+            lambda a, norm, axes, workers: seen.append(workers),
+        )
+        b = ThreadedFFTBackend(workers=3)
+        b.fft2(np.ones((2, 16, 32, 31), dtype=np.complex64))  # 31744 elements
+        b.fft2(np.ones((2, 16, 32, 32), dtype=np.complex64))  # 32768
+        b.fft2(np.ones((4, 4), dtype=np.complex64))
+        assert seen == [1, 3, 1]
 
     def test_worker_override_validated(self):
         from repro.backend import ThreadedFFTBackend

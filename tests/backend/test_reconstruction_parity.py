@@ -12,7 +12,6 @@ the level single precision can support.
 import numpy as np
 import pytest
 
-from repro.backend import SINGLE, get_backend
 from repro.baseline.serial import SerialReconstructor
 from repro.core.reconstructor import GradientDecompositionReconstructor
 from repro.physics.dataset import suggest_lr
@@ -172,15 +171,3 @@ class TestApiParity:
                 tiny_dataset
             )
         assert result.volume.dtype == np.complex128  # dtype untouched
-
-    def test_threaded_plan_cache_hit_rate(self, tiny_dataset, lr):
-        """The batched probe-window transforms hit the plan cache almost
-        every call (one signature per window shape)."""
-        backend = get_backend("threaded")
-        before = backend.plan_stats()
-        SerialReconstructor(
-            iterations=1, lr=lr, backend=backend
-        ).reconstruct(tiny_dataset)
-        after = backend.plan_stats()
-        assert after["hits"] - before["hits"] > 10
-        assert after["plans"] - before["plans"] <= 4

@@ -225,6 +225,30 @@ class TestSessionIsAlwaysClosed:
         (session,) = fake_executor
         assert (session.steps, session.closed) == (2, 1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_closed_once_when_the_cost_is_not_finite(
+        self, fake_executor, plan, monkeypatch, bad
+    ):
+        original = FakeSession.step
+
+        def step(self):
+            cost = original(self)
+            return bad if self.steps == 3 else cost
+
+        monkeypatch.setattr(FakeSession, "step", step)
+        events = []
+        with pytest.raises(repro.DivergenceError) as info:
+            run_plan("fake-solver", plan, 5, [events.append])
+        (session,) = fake_executor
+        assert (session.steps, session.closed) == (3, 1)
+        # Raised before the third iteration's event, naming the last
+        # finite cost.
+        assert [e.cost for e in events] == [10.0, 9.0]
+        error = info.value
+        assert (error.solver, error.iteration, error.last_finite_cost) == (
+            "fake-solver", 2, 9.0
+        )
+
 
 # ----------------------------------------------------------------------
 # Real executors: the driver reproduces the golden digests

@@ -9,6 +9,7 @@ from repro import reconstruct
 from repro.api import ReconstructionConfig
 from repro.data import write_store
 from repro.io import save_result
+from repro.physics.dataset import suggest_lr
 from repro.service import (
     JobError,
     JobState,
@@ -280,6 +281,22 @@ class TestWorkerResilience:
         assert bad.wait(timeout=WAIT) == JobState.FAILED
         assert "no-such-backend" in bad.record().error
         # The worker survived: the next job on the same thread completes.
+        good = service.submit(tiny_dataset, gd_config(tiny_lr, iterations=2))
+        assert good.wait(timeout=WAIT) == JobState.DONE
+
+    def test_diverged_job_settles_failed(
+        self, tiny_dataset, tiny_lr, service_factory
+    ):
+        # At this step the cost is non-finite within 5 iterations
+        # (tests/core/test_divergence.py): the leg raises
+        # DivergenceError, and the job settles FAILED with no result.
+        service = service_factory(workers=1, checkpoint_every=1)
+        lr = suggest_lr(tiny_dataset, alpha=1e4)
+        bad = service.submit(tiny_dataset, gd_config(lr, iterations=5))
+        assert bad.wait(timeout=WAIT) == JobState.FAILED
+        assert "DivergenceError" in bad.record().error
+        directory = jobstore.job_dir(service.root, bad.job_id)
+        assert not (directory / "result.npz").exists()
         good = service.submit(tiny_dataset, gd_config(tiny_lr, iterations=2))
         assert good.wait(timeout=WAIT) == JobState.DONE
 
