@@ -19,7 +19,12 @@ from repro.api.registry import solver_from_config
 from repro.backend.base import resolve_backend, resolve_precision
 from repro.data import open_store, resolve_batch_size
 from repro.core.observers import Observer
-from repro.core.reconstructor import ReconstructionResult, fold_leg, relay_leg
+from repro.core.reconstructor import (
+    ReconstructionResult,
+    fold_leg,
+    raise_in_run,
+    relay_leg,
+)
 from repro.io.storage import ResultArchive, load_result
 from repro.obs import telemetry as _obs
 from repro.physics.dataset import PtychoDataset
@@ -199,12 +204,13 @@ def reconstruct(
                 initial_volume=initial_volume,
                 prior=prior,
             )
-        leg = solver.reconstruct(
-            dataset,
-            observers=observers,
-            initial_probe=initial_probe,
-            initial_volume=initial_volume,
-        )
+        with raise_in_run(prior):
+            leg = solver.reconstruct(
+                dataset,
+                observers=observers,
+                initial_probe=initial_probe,
+                initial_volume=initial_volume,
+            )
         return fold_leg(leg, prior)
 
     ambient = _obs.current()

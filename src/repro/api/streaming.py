@@ -37,7 +37,12 @@ import numpy as np
 from repro.api.config import ReconstructionConfig
 from repro.api.registry import solver_from_config
 from repro.core.observers import Observer
-from repro.core.reconstructor import ReconstructionResult, fold_leg, relay_leg
+from repro.core.reconstructor import (
+    ReconstructionResult,
+    fold_leg,
+    raise_in_run,
+    relay_leg,
+)
 from repro.data.streaming import (
     ScanSource,
     StreamError,
@@ -236,11 +241,12 @@ def run_streaming(
                     epoch=epoch_index,
                     iterations=n_iter,
                     covered=len(covered),
-                ):
+                ), raise_in_run(ledger):
                     epoch = solver.reconstruct(dataset, **kwargs)
                 tel.count("stream.epochs")
             else:
-                epoch = solver.reconstruct(dataset, **kwargs)
+                with raise_in_run(ledger):
+                    epoch = solver.reconstruct(dataset, **kwargs)
             elapsed_s += time.perf_counter() - t0
             ledger = fold_leg(epoch, ledger)
             volume = ledger.volume

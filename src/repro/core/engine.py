@@ -133,14 +133,20 @@ class RankState:
     probe_grad: Optional[np.ndarray] = None
 
 
-#: One plan row: ``(state, probe index, slices in the tile, slices in
-#: the window, padded?, local-update scale)``; the slices lead with the
-#: slice axis and are empty when the window misses the tile.
-_Row = Tuple[RankState, int, Tuple[slice, ...], Tuple[slice, ...], bool, float]
+#: One plan row: ``(state, probe index, the window's views into the
+#: tile's volume, gradient buffer and local buffer (``None`` without
+#: one), its index into the step's ``(B, S, w, w)`` stack, padded?)``;
+#: views and index lead with the slice axis and are empty when the
+#: window misses the tile.
+_Row = Tuple[
+    RankState, int, np.ndarray, np.ndarray, Optional[np.ndarray],
+    Tuple[Union[int, slice], ...], bool,
+]
 
 #: A lockstep group resolved once (see :meth:`NumericEngine._sweep_plan`):
-#: ``(first op, member states, per kernel call its rows)``.
-_SweepPlan = Tuple[Op, List[RankState], List[List[_Row]]]
+#: ``(first op, member states, local-update scale, per kernel call its
+#: rows)``.
+_SweepPlan = Tuple[Op, List[RankState], float, List[List[_Row]]]
 
 
 #: A compiled program entry: ``(handler, its arguments after the engine,
@@ -461,27 +467,35 @@ class NumericEngine:
         Runs of gradient ops on distinct hosted ranks execute as one
         lockstep sweep (see :meth:`_program`); a traced run executes the
         same program.
+
+        Floating-point overflow and invalid values pass silently: a
+        diverging run's non-finite cost is reported once, as
+        :class:`~repro.core.reconstructor.DivergenceError`, not as a
+        stream of numpy warnings from every executor's workers.
         """
         tel = self._obs
-        for handler, args, ops in self._program(schedule):
-            if not tel.enabled:
-                handler(self, *args)
-                continue
-            kind = type(ops[0])
-            # Attribute the span to the lowest hosted rank it touches —
-            # point-to-point ops and fused sweeps appear on one
-            # timeline, not several, which keeps per-rank rows readable
-            # (a sweep names its members in ``ranks=``).
-            ranks = sorted(
-                self._hosted_set.intersection(
-                    r for op in ops for r in op.ranks()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for handler, args, ops in self._program(schedule):
+                if not tel.enabled:
+                    handler(self, *args)
+                    continue
+                kind = type(ops[0])
+                # Attribute the span to the lowest hosted rank it
+                # touches — point-to-point ops and fused sweeps appear
+                # on one timeline, not several, which keeps per-rank
+                # rows readable (a sweep names its members in
+                # ``ranks=``).
+                ranks = sorted(
+                    self._hosted_set.intersection(
+                        r for op in ops for r in op.ranks()
+                    )
                 )
-            )
-            span_args = {"ranks": ranks} if kind in _GRADIENT_OPS else {}
-            with tel.span(
-                _PHASE_OF.get(kind, "engine.op"), rank=ranks[0], **span_args
-            ):
-                handler(self, *args)
+                span_args = {"ranks": ranks} if kind in _GRADIENT_OPS else {}
+                with tel.span(
+                    _PHASE_OF.get(kind, "engine.op"), rank=ranks[0],
+                    **span_args,
+                ):
+                    handler(self, *args)
 
     def _program(self, schedule: Schedule) -> List[_Entry]:
         """This engine's program for ``schedule``, compiled once per
@@ -492,7 +506,8 @@ class NumericEngine:
         :meth:`_sweep_plan`.
 
         Ops fuse when they are all ``ComputeGradients`` with the same
-        ``local_update`` or all ``LocalSolve``, sit on pairwise distinct
+        ``local_update`` or all ``LocalSolve`` with the same ``lr`` (a
+        group takes one local step size), sit on pairwise distinct
         ranks (a rank's own ops stay sequential) and contribute one
         position per kernel call.  That is exact: members own disjoint
         :class:`RankState`, each rank's position order is untouched, no
@@ -534,33 +549,37 @@ class NumericEngine:
     ) -> _SweepPlan:
         """Resolve a lockstep group's geometry once: one plan row per
         position, batched ``_positions_per_call`` positions per member
-        and step.  A window the extended tile cuts off is *padded*: its
-        pixels outside the tile read as vacuum and its gradient there is
-        discarded."""
+        and step.  A row carries its window's views into the tile arrays,
+        which never move, so a sweep slices nothing per row.  A window
+        the extended tile cuts off is *padded*: its pixels outside the
+        tile read as vacuum and its gradient there is discarded."""
         window_of = self.dataset.scan.window_of
         states = [self._state(op.rank) for op in ops]
-        members = []
-        for state, op in zip(states, ops):
-            scale = -(op.lr if isinstance(op, LocalSolve) else self.lr)
-            rows = []
-            for idx in op.probe_indices:
-                window = window_of(idx)
-                inner = window.intersect(state.ext)
-                tile_sl = window_sl = (slice(None), slice(0, 0), slice(0, 0))
-                if inner is not None:
-                    tile_sl = (slice(None), *inner.slices_in(state.ext))
-                    window_sl = (slice(None), *inner.slices_in(window))
-                rows.append(
-                    (state, idx, tile_sl, window_sl, inner != window, scale)
-                )
-            members.append(rows)
         width = self._positions_per_call(ops[0])
-        longest = max(len(rows) for rows in members)
-        steps = [
-            [row for rows in members for row in rows[start : start + width]]
-            for start in range(0, longest, width)
-        ]
-        return ops[0], states, steps
+        longest = max(len(op.probe_indices) for op in ops)
+        steps: List[List[_Row]] = []
+        for start in range(0, longest, width):
+            rows: List[_Row] = []
+            for state, op in zip(states, ops):
+                for idx in op.probe_indices[start : start + width]:
+                    window = window_of(idx)
+                    inner = window.intersect(state.ext)
+                    tile_sl = (slice(None), slice(0, 0), slice(0, 0))
+                    at = (len(rows), *tile_sl)
+                    if inner is not None:
+                        tile_sl = (slice(None), *inner.slices_in(state.ext))
+                        at = (len(rows), slice(None), *inner.slices_in(window))
+                    local = state.localbuf
+                    rows.append((
+                        state, idx, state.volume[tile_sl],
+                        state.accbuf[tile_sl],
+                        None if local is None else local[tile_sl],
+                        at, inner != window,
+                    ))
+            steps.append(rows)
+        head = ops[0]
+        scale = -(head.lr if isinstance(head, LocalSolve) else self.lr)
+        return head, states, scale, steps
 
     def _positions_per_call(self, op: Op) -> int:
         """Positions a gradient op contributes to each kernel call:
@@ -575,6 +594,7 @@ class NumericEngine:
         return (
             type(op) in _GRADIENT_OPS
             and type(op) is type(head)
+            and (not isinstance(op, LocalSolve) or op.lr == head.lr)
             and _updates_locally(op) == _updates_locally(head)
             and self._positions_per_call(op) == 1
             and all(op.rank != member.rank for member in group)
@@ -655,10 +675,11 @@ class NumericEngine:
 
         Step ``k`` gathers its plan rows — the ``k``-th position(s) of
         every member that still has one; ragged tails just shrink the
-        batch — into a ``(B, S, w, w)`` stack by slice assignment
-        (padded rows start from vacuum), runs one batched multislice
-        call, then scatters, accumulates cost and applies the local
-        update row by row through the same pre-resolved slices: the same
+        batch — into a ``(B, S, w, w)`` stack from the rows' volume
+        views (padded rows start from vacuum), runs one batched
+        multislice call, then scatters and accumulates cost row by row
+        in place through the same views, and applies the local update
+        (the stack's local steps scaled in one multiply): the same
         floating-point accumulation sequence per rank as evaluating it
         alone.  A member contributes several positions per call only
         when no volume write happens between its reads
@@ -677,7 +698,7 @@ class NumericEngine:
         and it changes only between sweeps, so it is permuted into the
         kernel's FFT-native layout once per sweep.
         """
-        head, states, steps = plan
+        head, states, scale, steps = plan
         solve = isinstance(head, LocalSolve)
         local_update = _updates_locally(head)
         if not solve:
@@ -692,12 +713,10 @@ class NumericEngine:
             # batched path always had (inlined, `gd-batched-mixed-store`
             # measured 5 % slower with identical work).
             patches = np.empty((len(rows), *shape), dtype=self._cdtype)
-            for patch, (state, _, tile_sl, window_sl, padded, _) in zip(
-                patches, rows
-            ):
+            for _, _, volume, _, _, at, padded in rows:
                 if padded:
-                    patch[...] = 1.0
-                patch[window_sl] = state.volume[tile_sl]
+                    patches[at[0]] = 1.0
+                patches[at] = volume
             result = self.model.cost_and_gradient_batch(
                 probe,
                 patches,
@@ -710,17 +729,22 @@ class NumericEngine:
                 # Mixed-state stack (M, B, w, w): item b is [:, b].
                 probe_grad = probe_grad.swapaxes(0, 1)
             costs, grads = result.costs.tolist(), result.object_grads
-            for b, (state, _, tile_sl, window_sl, _, scale) in enumerate(rows):
+            for b, (state, _, _, acc, local, at, _) in enumerate(rows):
                 state.cost_accum += costs[b]
-                grad = grads[b][window_sl]
                 if not solve:
-                    state.accbuf[tile_sl] += grad
-                    if state.localbuf is not None:
-                        state.localbuf[tile_sl] += grad
-                if local_update:
-                    state.volume[tile_sl] += scale * grad
+                    grad = grads[at]
+                    acc += grad
+                    if local is not None:
+                        local += grad
                 if probe_grad is not None:
                     state.probe_grad += probe_grad[b]
+            if local_update:
+                # Every row's local step ``scale * grad`` in one
+                # multiply, in place: the stack is not read again, and
+                # each row is its rank's only one in the step.
+                np.multiply(scale, grads, out=grads)
+                for _, _, volume, _, _, at, _ in rows:
+                    volume += grads[at]
 
     def _op_exchange(self, op: BufferExchange) -> None:
         # Each side runs on the worker hosting it; a serial engine hosts

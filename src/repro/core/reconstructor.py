@@ -30,12 +30,14 @@ on.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -85,6 +87,7 @@ __all__ = [
     "GradientDecompositionReconstructor",
     "ReconstructionResult",
     "fold_leg",
+    "raise_in_run",
     "relay_leg",
     "run_plan",
     "run_session",
@@ -104,8 +107,10 @@ class DivergenceError(RuntimeError):
 
     Raised by :func:`run_session` before that iteration's event, so no
     observer (checkpoints included) ever sees the non-finite state.
-    ``iteration`` counts from the start of the leg that diverged, and
-    ``last_finite_cost`` is ``None`` when the first iteration diverged.
+    ``iteration`` counts from the start of the run, and
+    ``last_finite_cost`` is ``None`` only when the run's first iteration
+    diverged: a resumed or streamed leg's error is re-raised in run
+    terms by :func:`raise_in_run`.
     """
 
     def __init__(
@@ -251,6 +256,27 @@ def relay_leg(
         ))
 
     return relay
+
+
+@contextmanager
+def raise_in_run(prior: Any) -> Iterator[None]:
+    """The error-side twin of :func:`relay_leg`: a
+    :class:`DivergenceError` raised inside the block by a leg that
+    continues ``prior`` is re-raised as the uninterrupted run's —
+    ``iteration`` shifted by ``len(prior.history)``, and a leg that
+    diverged on its first iteration reports ``prior``'s last cost as
+    the last finite one (``prior=None`` changes nothing)."""
+    try:
+        yield
+    except DivergenceError as err:
+        if prior is None or not len(prior.history):
+            raise
+        last = err.last_finite_cost
+        raise DivergenceError(
+            err.solver,
+            len(prior.history) + err.iteration,
+            float(prior.history[-1]) if last is None else last,
+        ) from None
 
 
 def run_session(

@@ -323,9 +323,11 @@ class MultisliceModel:
         amplitude = self._amplitude(far_field)
         residual, costs = self._data_fit(amplitude, measured_amplitudes)
 
-        # Detector-plane adjoint seed d f / d conj(Psi_m).
-        phase = far_field / (amplitude + _AMPLITUDE_EPS)
-        chi = ifft2u(residual * phase, self.backend)
+        # Detector-plane adjoint seed d f / d conj(Psi_m), built in the
+        # temporaries it consumes (operands in formula order).
+        amplitude += _AMPLITUDE_EPS
+        seed = np.divide(far_field, amplitude)
+        chi = ifft2u(np.multiply(residual, seed, out=seed), self.backend)
         single = far_field.shape[0] == 1
         grads = np.empty_like(obj)
         for s in range(self.n_slices - 1, -1, -1):
@@ -335,7 +337,9 @@ class MultisliceModel:
                 # The object is shared: mode contributions add.
                 grads[:, s] = np.sum(np.conj(incident[s]) * chi, axis=0)
             if s > 0:
-                chi = self._prop.adjoint_native(np.conj(obj[:, s]) * chi)
+                chi = self._prop.adjoint_native(
+                    np.multiply(np.conj(obj[:, s]), chi, out=chi)
+                )
         probe_grads = None
         if compute_probe_grad:
             # d f / d conj(p): one more chain step through slice 0.

@@ -14,7 +14,11 @@ analytic multislice gradient relies on.  Two layouts are offered:
 ``to_native`` (``ifftshift``) and ``to_centred`` (``fftshift``) are
 exact inverses for every length, and a permutation commutes bit-for-bit
 with elementwise arithmetic, so code that stays in the native layout
-between transforms reproduces the centred formulation exactly.
+between transforms reproduces the centred formulation exactly.  Each is
+one ``take`` over the flattened last two axes, with the plane's index
+cached per ``(h, w, direction)``: the elements ``np.fft``'s shifts
+move, in one pass instead of a roll per axis, into a fresh C-contiguous
+array.
 
 Execution (which FFT library, how many workers) belongs to
 :mod:`repro.backend`: pass ``backend=`` explicitly, or leave it ``None``
@@ -25,6 +29,7 @@ for ambient resolution (``REPRO_BACKEND`` environment variable, else the
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Tuple, Union
 
@@ -94,16 +99,39 @@ def ifft2u(field: np.ndarray, backend: _BackendSpec = None) -> np.ndarray:
     return _unitary(b.ifft2, "ifft2", b.name, field)
 
 
+@functools.cache
+def _permutation(h: int, w: int, centred: bool) -> np.ndarray:
+    """Flat source index of each output pixel of ``ifftshift``
+    (``centred=False``) or ``fftshift`` over an ``(h, w)`` plane;
+    read-only, as every caller shares it."""
+    shift_h, shift_w = (-(h // 2), -(w // 2)) if centred else (h // 2, w // 2)
+    rows = (np.arange(h) + shift_h) % h
+    cols = (np.arange(w) + shift_w) % w
+    index = (rows[:, None] * w + cols[None, :]).ravel()
+    index.flags.writeable = False
+    return index
+
+
+def _permute(field: np.ndarray, centred: bool) -> np.ndarray:
+    """Apply :func:`_permutation` to the last two axes: one ``take``
+    over the flattened plane, into a fresh C-contiguous array."""
+    *lead, h, w = field.shape
+    flat = field.reshape(*lead, h * w)
+    return flat.take(_permutation(h, w, centred), axis=-1).reshape(
+        field.shape
+    )
+
+
 def to_native(field: np.ndarray) -> np.ndarray:
     """Permute the last two axes from the centred to the FFT-native
     layout (``ifftshift``); always a fresh C-contiguous array."""
-    return np.fft.ifftshift(field, axes=(-2, -1))
+    return _permute(field, False)
 
 
 def to_centred(field: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_native` (``fftshift``) — exactly, for every
     length, even or odd."""
-    return np.fft.fftshift(field, axes=(-2, -1))
+    return _permute(field, True)
 
 
 def fft2c(field: np.ndarray, backend: _BackendSpec = None) -> np.ndarray:

@@ -106,14 +106,16 @@ class TestThreadedParity:
                     assert np.array_equal(out, one(x))
 
     def test_worker_count_decided_per_call(self, monkeypatch):
-        import scipy.fft
+        from scipy.fft._pocketfft import pypocketfft
 
         from repro.backend import ThreadedFFTBackend
 
         seen = []
         monkeypatch.setattr(
-            scipy.fft, "fft2",
-            lambda a, norm, axes, workers: seen.append(workers),
+            pypocketfft, "c2c",
+            lambda a, axes, forward, inorm, out, nthreads: seen.append(
+                nthreads
+            ),
         )
         b = ThreadedFFTBackend(workers=3)
         b.fft2(np.ones((2, 16, 32, 31), dtype=np.complex64))  # 31744 elements

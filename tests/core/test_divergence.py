@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +26,16 @@ import repro
 from repro import CheckpointPolicy, reconstruct
 from repro.api import ReconstructionConfig
 from repro.cli import main
-from repro.io import load_result, save_dataset
+from repro.io import load_result, save_dataset, save_result
 from repro.physics.dataset import suggest_lr
 
 DIVERGENT_ALPHA = 1e4
 GROWING_ALPHA = 5.0  # cost grows ~1e8x over 5 iterations, stays finite
+# gd synchronous on tiny_dataset diverges at run iteration 3 of 4: in
+# leg 2 of a 2+2 resume chain, and on the first iteration of leg 2 of a
+# 3+1 chain.
+LATE_ALPHA = 1e8
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _config(solver, lr, executor=None, iterations=5):
@@ -96,8 +104,12 @@ class TestSolversRaise:
         config = _config("gd", divergent_lr).with_stream(
             scan_source={"kind": "replay", "waves": 2}
         )
-        error = _diverge(tiny_dataset, config)
+        events = []
+        error = _diverge(tiny_dataset, config, [events.append])
         assert error.solver == "gd"
+        # Run-global, like the events: not the diverging epoch's count.
+        assert error.iteration == len(events) > 0
+        assert error.last_finite_cost == events[-1].cost
 
     def test_finite_growth_is_not_flagged(self, tiny_dataset):
         lr = suggest_lr(tiny_dataset, alpha=GROWING_ALPHA)
@@ -133,4 +145,56 @@ class TestNothingNonFiniteIsKept:
         ])
         assert code == 2
         assert "diverged at iteration" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRunGlobalError:
+    """A leg that continues a run reports the run's iteration and last
+    finite cost — what the uninterrupted run reports."""
+
+    @pytest.mark.parametrize("first", [2, 3])
+    def test_resumed_leg_reports_the_run(self, tiny_dataset, tmp_path, first):
+        lr = suggest_lr(tiny_dataset, alpha=LATE_ALPHA)
+        straight = _diverge(tiny_dataset, _config("gd", lr, iterations=4))
+        assert straight.iteration == 3
+        leg1 = reconstruct(tiny_dataset, _config("gd", lr, iterations=first))
+        seed = save_result(tmp_path / "leg1.npz", leg1)
+        config = _config("gd", lr, iterations=4 - first).with_run_params(
+            resume=str(seed)
+        )
+        error = _diverge(tiny_dataset, config)
+        assert error.iteration == straight.iteration
+        assert error.last_finite_cost == straight.last_finite_cost
+        assert str(error) == str(straight)
+
+
+def _cli_diverge(dataset, out, lr, executor):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONWARNINGS", None)  # default filters: a warning shows
+    return subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "reconstruct",
+            "--dataset", str(dataset), "--algorithm", "gd", "--ranks", "4",
+            "--iterations", "5", "--lr", str(lr), "--executor", executor,
+            "--out", str(out),
+        ],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+class TestQuietDivergence:
+    """The diverging run's numpy overflow/invalid warnings no longer
+    reach stderr, in-process or from rank workers: the one-line error
+    is all a user sees."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_stderr_holds_only_the_error(
+        self, tiny_dataset, divergent_lr, tmp_path, executor
+    ):
+        dataset = save_dataset(tmp_path / "ds.npz", tiny_dataset)
+        out = tmp_path / "rec.npz"
+        proc = _cli_diverge(dataset, out, divergent_lr, executor)
+        assert proc.returncode == 2, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+        assert "reconstruct: error: gd diverged at iteration" in proc.stderr
         assert not out.exists()

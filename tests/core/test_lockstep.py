@@ -276,6 +276,38 @@ class TestKernelCallCount:
             sum(n > k for n in counts) for k in range(max(counts))
         ]
 
+    @pytest.mark.parametrize("rates", [(LR, LR), (LR, LR / 2)])
+    def test_local_solves_fuse_only_at_one_step_size(
+        self, tiny_dataset, batch_widths, request, rates
+    ):
+        # A group takes one local step size: LocalSolve ops on distinct
+        # ranks share calls only when their lr agree, and either way
+        # the volumes are the per-position reference's.
+        decomp = hve().decompose(tiny_dataset)
+        schedule = Schedule(decomp.n_ranks)
+        tiles = decomp.tiles[:2]
+        for tile, lr in zip(tiles, rates):
+            schedule.add(LocalSolve(
+                rank=tile.rank, probe_indices=tile.probes, lr=lr
+            ))
+
+        def volumes():
+            with NumericEngine(tiny_dataset, decomp, lr=LR) as engine:
+                engine.execute(schedule)
+                return [v.copy() for v in engine.volumes()]
+
+        fused = volumes()
+        counts = [len(tile.probes) for tile in tiles]
+        if rates[0] == rates[1]:
+            assert batch_widths == [
+                sum(n > k for n in counts) for k in range(max(counts))
+            ]
+        else:
+            assert batch_widths == [1] * sum(counts)
+        request.getfixturevalue("unfused")
+        for a, b in zip(fused, volumes()):
+            np.testing.assert_array_equal(a, b)
+
 
 # ----------------------------------------------------------------------
 # (d) the fact that lets a group share its first member's probe

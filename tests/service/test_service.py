@@ -5,7 +5,7 @@ predecessor stopped."""
 
 import pytest
 
-from repro import reconstruct
+from repro import DivergenceError, reconstruct
 from repro.api import ReconstructionConfig
 from repro.data import write_store
 from repro.io import save_result
@@ -20,7 +20,7 @@ from repro.service import (
 from repro.service import jobs as jobstore
 
 from tests.helpers import result_fingerprint
-from tests.service.service_configs import gd_config, hve_config
+from tests.service.service_configs import gd_config, held_worker, hve_config
 
 WAIT = 120.0  # generous settle bound for CI machines
 
@@ -299,6 +299,27 @@ class TestWorkerResilience:
         assert not (directory / "result.npz").exists()
         good = service.submit(tiny_dataset, gd_config(tiny_lr, iterations=2))
         assert good.wait(timeout=WAIT) == JobState.DONE
+
+    def test_resumed_leg_reports_run_global_divergence(
+        self, tiny_dataset, tiny_lr, service_factory
+    ):
+        # A 2+2 chain that diverges at run iteration 3, in its second
+        # leg: the error names the run's iteration and last finite cost,
+        # as the uninterrupted run's does.
+        lr = suggest_lr(tiny_dataset, alpha=1e8)
+        config = gd_config(lr, iterations=4)
+        with pytest.raises(DivergenceError) as straight:
+            reconstruct(tiny_dataset, config)
+        assert straight.value.iteration == 3
+        service = service_factory(workers=1)
+        with held_worker(service, tiny_dataset, tiny_lr):
+            handle = service.submit(tiny_dataset, config)
+            handle.cancel(at_iteration=2)
+        assert handle.wait(timeout=WAIT) == JobState.CANCELLED
+        assert handle.record().iterations_done == 2
+        handle.resume()
+        assert handle.wait(timeout=WAIT) == JobState.FAILED
+        assert str(straight.value) in handle.record().error
 
 
 class TestComputePinning:
