@@ -55,7 +55,7 @@ Physics / data:
     :func:`repro.physics.small_pbtio3_spec`,
     :func:`repro.physics.large_pbtio3_spec`
 
-Reconstructor classes (what the registry adapters wrap):
+Reconstructor classes (what the registry names ``gd``, ``hve``, ``serial``):
     :class:`repro.core.GradientDecompositionReconstructor` (the paper's
     Algorithm 1), :class:`repro.baseline.HaloExchangeReconstructor` (the
     state-of-the-art baseline), :class:`repro.baseline.SerialReconstructor`

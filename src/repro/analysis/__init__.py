@@ -4,9 +4,8 @@ The reproduction's trickiest invariants are not type errors — they are
 *discipline* rules that unit tests only catch when a race or crash
 actually fires: monotonic-only scheduling clocks, tmp+rename
 publication of durable files, no blocking work under registry locks,
-fingerprint-neutrality declarations for every config knob, registry
-reachability, and pay-nothing-when-disabled telemetry.  This package
-checks them mechanically, per commit.
+registry reachability, and pay-nothing-when-disabled telemetry.  This
+package checks them mechanically, per commit.
 
 Usage::
 

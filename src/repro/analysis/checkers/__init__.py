@@ -13,7 +13,6 @@ from typing import Dict, List
 from repro.analysis.checkers import (
     atomic,
     clock,
-    fingerprint,
     locks,
     registries,
     telemetry,
@@ -25,7 +24,6 @@ ALL_CHECKERS = [
     clock,
     atomic,
     locks,
-    fingerprint,
     registries,
     telemetry,
 ]

@@ -7,8 +7,9 @@ silently absent from ``repro reconstruct --solver`` choices.  And a CLI
 argument whose ``choices=`` is a hard-coded list goes stale the moment
 someone registers a new name.  This rule flags both:
 
-* a module that calls a ``register_*`` decorator but is imported by no
-  other module in the tree (and is not a package ``__init__``);
+* a module that calls a ``register_*`` function (as a decorator or
+  directly) but is imported by no other module in the tree (and is not
+  a package ``__init__``);
 * an ``add_argument`` for ``--solver``/``--backend``/``--executor`` in
   the CLI whose ``choices`` is a literal list instead of the registry's
   ``*_names()`` function.
@@ -48,16 +49,6 @@ HINT_CHOICES = (
 )
 
 
-def _decorator_name(dec: ast.AST) -> str:
-    if isinstance(dec, ast.Call):
-        dec = dec.func
-    if isinstance(dec, ast.Name):
-        return dec.id
-    if isinstance(dec, ast.Attribute):
-        return dec.attr
-    return ""
-
-
 def _imported_modules(project: Project) -> Set[str]:
     """Every dotted module name imported anywhere in the tree."""
     imported: Set[str] = set()
@@ -77,26 +68,31 @@ def _imported_modules(project: Project) -> Set[str]:
 
 
 def _registrations(project: Project) -> List[Tuple[str, str, str, int]]:
-    """(module, registry-func, registered-name, lineno) tuples."""
+    """(module, registry-func, registered-name, lineno) tuples, one per
+    ``register_*("name")`` call — as a decorator or applied directly."""
     out = []
     for module, pf in project.modules():
         if pf.tree is None:
             continue
         for node in ast.walk(pf.tree):
-            if not isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if not isinstance(node, ast.Call):
                 continue
-            for dec in node.decorator_list:
-                func = _decorator_name(dec)
-                if func not in _REGISTER_FUNCS:
-                    continue
-                reg_name = "?"
-                if isinstance(dec, ast.Call) and dec.args:
-                    first = dec.args[0]
-                    if isinstance(first, ast.Constant) and isinstance(
-                        first.value, str
-                    ):
-                        reg_name = first.value
-                out.append((module, func, reg_name, dec.lineno))
+            func = node.func
+            name = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else ""
+            )
+            if name not in _REGISTER_FUNCS:
+                continue
+            reg_name = "?"
+            if node.args:
+                first = node.args[0]
+                if isinstance(first, ast.Constant) and isinstance(
+                    first.value, str
+                ):
+                    reg_name = first.value
+            out.append((module, name, reg_name, node.lineno))
     return out
 
 

@@ -6,9 +6,10 @@ The pieces (one module each):
   description (solver name + solver params + run params).
 * :func:`register_solver` / :func:`solver_from_config` /
   :func:`solver_names` — the registry that all dispatch (CLI,
-  ``repro.reconstruct``, experiments) resolves through; ``"gd"``,
-  ``"hve"`` and ``"serial"`` are registered by :mod:`repro.api.solvers`,
-  third-party solvers register the same way.
+  ``repro.reconstruct``, experiments) resolves through; the three
+  reconstructor classes are registered as ``"gd"``, ``"hve"`` and
+  ``"serial"`` by :mod:`repro.api.solvers`, and third-party solvers
+  register the same way.
 * :func:`reconstruct` — the single entry point running any config.
 * :class:`IterationEvent` / :class:`CheckpointPolicy` — the structured
   observer API.
@@ -37,11 +38,6 @@ from repro.api.registry import (
     unregister_solver,
 )
 from repro.api import solvers  # noqa: F401  (registers gd/hve/serial)
-from repro.api.solvers import (
-    GradientDecompositionSolver,
-    HaloExchangeSolver,
-    SerialSolver,
-)
 from repro.api.events import (
     CheckpointPolicy,
     IterationEvent,
@@ -64,9 +60,6 @@ __all__ = [
     "solver_names",
     "get_solver",
     "solver_from_config",
-    "GradientDecompositionSolver",
-    "HaloExchangeSolver",
-    "SerialSolver",
     "IterationEvent",
     "Observer",
     "CheckpointPolicy",

@@ -44,8 +44,8 @@ _FINGERPRINT_NUMERIC_FIELDS = frozenset(
 #: (resume source) describe how a run starts, not its arithmetic.
 #:
 #: Together with ``_FINGERPRINT_NUMERIC_FIELDS`` this must cover every
-#: :class:`ReconstructionConfig` field exactly once — the
-#: ``fingerprint-knob`` rule of :mod:`repro.analysis` fails the build
+#: :class:`ReconstructionConfig` field exactly once —
+#: ``TestFingerprintDeclaration`` in ``tests/api/test_config.py`` fails
 #: when a new field is added without declaring which set it belongs to.
 #: ``scan_source``/``stream_policy`` are neutral because streaming
 #: never changes *what* is computed for a given coverage trajectory: a

@@ -14,10 +14,12 @@ first-party or third-party — requires no edits to any dispatch code::
         def reconstruct(self, dataset, *, observers=(), initial_probe=None,
                         initial_volume=None): ...
 
-A registered class must be constructible from a config's
-``solver_params`` mapping (``cls(**params)``) and implement the
-:class:`Solver` protocol.  The three paper solvers are registered by
-:mod:`repro.api.solvers`.
+A registered class implements the :class:`Solver` protocol and is
+constructed from a config's ``solver_params`` mapping
+(``cls(**params)``); ``accepted_params`` names the keys it takes (none
+when absent), and :func:`solver_from_config` refuses any other with a
+:class:`SolverCapabilityError`.  The three paper reconstructors are
+registered as they are by :mod:`repro.api.solvers`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.runtime.options import RunOptions
+from repro.runtime.options import RunOptions, SolverCapabilityError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.config import ReconstructionConfig
@@ -54,12 +56,6 @@ __all__ = [
 class UnknownSolverError(ValueError):
     """Raised when a solver name is not in the registry; the message
     always lists what *is* registered."""
-
-
-class SolverCapabilityError(ValueError):
-    """Raised when a solver is asked for a parameter or feature it does
-    not support (e.g. probe refinement with the halo-exchange baseline),
-    instead of silently dropping the request."""
 
 
 @runtime_checkable
@@ -136,9 +132,10 @@ def get_solver(name: str) -> Type:
 def solver_from_config(config: "ReconstructionConfig") -> Solver:
     """Instantiate the solver a config names, with its ``solver_params``.
 
-    The config fields that are run options (the
-    :class:`~repro.runtime.options.RunOptions` names) are injected as
-    constructor parameters for solvers that declare them in
+    A ``solver_params`` key outside the solver's ``accepted_params`` is a
+    :class:`SolverCapabilityError`.  The config fields that are run
+    options (the :class:`~repro.runtime.options.RunOptions` names) are
+    injected as constructor parameters for solvers that declare them in
     ``accepted_params``.  ``None`` fields
     (ambient resolution) inject nothing, so solvers without the
     parameters still run on the ambient defaults — but *pinning* a
@@ -148,6 +145,12 @@ def solver_from_config(config: "ReconstructionConfig") -> Solver:
     cls = get_solver(config.solver)
     params = dict(config.solver_params)
     accepted = getattr(cls, "accepted_params", frozenset())
+    unknown = set(params) - set(accepted)
+    if unknown:
+        raise SolverCapabilityError(
+            f"solver {config.solver!r} does not accept parameter(s) "
+            f"{sorted(unknown)}; accepted: {sorted(accepted)}"
+        )
     for option in fields(RunOptions):
         key = option.name
         # ``positions`` has no config field: it is solver_params-only.

@@ -214,12 +214,10 @@ def run_streaming(
                 policy,
                 store.n_probes,
             )
-            solver = solver_from_config(epoch_config)
-            # The adapter proxies attribute *reads* to the inner
-            # reconstructor, so the store must be planted on .inner
-            # itself; open_store passes instances straight through.
-            inner = getattr(solver, "inner", solver)
-            inner.options = replace(inner.options, data_source=store)
+            # A solver that streams carries its RunOptions as ``options``;
+            # open_store passes a store instance straight through.
+            solver: Any = solver_from_config(epoch_config)
+            solver.options = replace(solver.options, data_source=store)
             relay = relay_leg(
                 run_observers, ledger, n_iterations=banked + total,
                 elapsed_s=elapsed_s, coverage=coverage_frac,
@@ -228,9 +226,9 @@ def run_streaming(
                 "observers": (relay,),
                 "initial_volume": volume,
             }
-            # Only forward a probe when one exists: the hve adapter
-            # rejects initial_probe (no probe-refinement path), exactly
-            # as it does on the static path.
+            # Only forward a probe when one exists: hve rejects
+            # initial_probe (no probe-refinement path), exactly as it
+            # does on the static path.
             carried_probe = epoch_probe if epoch_probe is not None else probe
             if carried_probe is not None:
                 kwargs["initial_probe"] = carried_probe

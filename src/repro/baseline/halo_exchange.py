@@ -35,12 +35,13 @@ from repro.core.reconstructor import (
     ReconstructionResult,
     run_plan,
     schedule_probe_update,
+    solver_mesh,
 )
 from repro.data.batching import resolve_positions
 from repro.parallel.topology import MeshLayout
 from repro.physics.dataset import PtychoDataset
 from repro.runtime.executor import EnginePlan
-from repro.runtime.options import RunOptions
+from repro.runtime.options import RunOptions, SolverCapabilityError
 from repro.schedule.ops import Barrier, LocalSolve, Schedule, VoxelPaste
 
 __all__ = ["HaloExchangeReconstructor"]
@@ -52,7 +53,8 @@ class HaloExchangeReconstructor:
     Parameters
     ----------
     n_ranks / mesh:
-        Cluster size or explicit mesh.
+        Cluster size (4 when neither is given) or explicit mesh (or its
+        JSON spelling ``[rows, cols]``).
     iterations:
         Full local-solve + exchange cycles.
     lr:
@@ -79,8 +81,8 @@ class HaloExchangeReconstructor:
         rank steps its probe copy by ``probe_lr`` (default ``0.5 / N``).
         On more than one rank a position in a halo contributes once per
         rank that sweeps it.  This is how the serial solver's ``"sgd"``
-        scheme runs (one rank, no halo); the ``hve`` registry entry does
-        not offer it.
+        scheme runs (one rank, no halo); ``accepted_params`` does not
+        offer it to configs.
     options / **option_fields:
         The run options as one
         :class:`~repro.runtime.options.RunOptions` (documented there)
@@ -95,10 +97,17 @@ class HaloExchangeReconstructor:
         ``refine_probe``, re-orthogonalized after each probe step).
     """
 
+    #: The ``solver_params`` keys a config may set (the registry refuses
+    #: any other with :class:`SolverCapabilityError`).
+    accepted_params = RunOptions.names() | {
+        "n_ranks", "mesh", "iterations", "lr", "extra_rows", "halo",
+        "inner_sweeps", "enforce_tile_constraint",
+    }
+
     def __init__(
         self,
         n_ranks: Optional[int] = None,
-        mesh: Optional[MeshLayout] = None,
+        mesh: Union[MeshLayout, Sequence[int], None] = None,
         iterations: int = 10,
         lr: float = 0.5,
         extra_rows: int = 2,
@@ -117,8 +126,7 @@ class HaloExchangeReconstructor:
         if refine_probe and probe_lr is not None and probe_lr <= 0:
             raise ValueError("probe_lr must be positive")
         self.options = RunOptions.of(options, **option_fields)
-        self.n_ranks = n_ranks
-        self.mesh = mesh
+        self.mesh, self.n_ranks = solver_mesh(mesh, n_ranks)
         self.iterations = iterations
         self.lr = float(lr)
         self.extra_rows = extra_rows
@@ -249,8 +257,15 @@ class HaloExchangeReconstructor:
         initial_volume:
             Warm-start volume (checkpoint restart); defaults to vacuum.
         initial_probe:
-            Starting probe estimate (defaults to the dataset's probe).
+            Starting probe estimate (defaults to the dataset's probe);
+            refused unless ``refine_probe`` is set: the paper's baseline
+            runs on the dataset's probe.
         """
+        if initial_probe is not None and not self.refine_probe:
+            raise SolverCapabilityError(
+                "solver 'hve' does not support initial_probe: the "
+                "halo-exchange baseline does not refine the probe"
+            )
         plan = self.plan(dataset, initial_probe, initial_volume)
         return run_plan("hve", plan, self.iterations, observers)
 

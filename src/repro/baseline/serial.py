@@ -66,6 +66,13 @@ class SerialReconstructor:
         an SVD re-orthogonalization each iteration.
     """
 
+    #: The ``solver_params`` keys a config may set (the registry refuses
+    #: any other with a ``SolverCapabilityError``): its one rank always
+    #: runs in process, so the two placement options are not among them.
+    accepted_params = RunOptions.names() - {
+        "executor", "runtime_workers",
+    } | {"iterations", "lr", "scheme", "refine_probe", "probe_lr"}
+
     def __init__(
         self,
         iterations: int = 10,

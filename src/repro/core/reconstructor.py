@@ -70,7 +70,7 @@ from repro.runtime.executor import (
     ExecutionSession,
     resolve_executor,
 )
-from repro.runtime.options import RunOptions
+from repro.runtime.options import RunOptions, SolverCapabilityError
 from repro.physics.dataset import PtychoDataset
 from repro.schedule.ops import (
     ApplyBufferUpdate,
@@ -92,6 +92,7 @@ __all__ = [
     "run_plan",
     "run_session",
     "schedule_probe_update",
+    "solver_mesh",
 ]
 
 _PLANNERS: Dict[str, Callable] = {
@@ -299,11 +300,16 @@ def run_session(
     """
     tel = _obs.current()
     history: List[float] = []
+    final: List[ReconstructionResult] = []  # set as the session closes
 
     def result_snapshot() -> ReconstructionResult:
         # Materializes the session state *at call time*, so volume,
         # counters and history always describe the same moment (history
-        # is read live, not frozen).
+        # is read live, not frozen).  Once the session is closed (a
+        # process session's shared memory is gone) that is the final
+        # result, copied so no two snapshots share a volume.
+        if final:
+            return replace(final[0], volume=final[0].volume.copy())
         return ReconstructionResult(
             volume=stitch(decomp, session.volumes(), dataset.n_slices),
             history=list(history),
@@ -336,7 +342,8 @@ def run_session(
                 peak_memory_bytes=float(np.mean(session.per_rank_peaks)),
                 snapshot=result_snapshot,
             )
-        return result_snapshot()
+        final.append(result_snapshot())
+    return final[0]
 
 
 def run_plan(
@@ -400,6 +407,28 @@ def schedule_probe_update(
             )
 
 
+def solver_mesh(
+    mesh: Any, n_ranks: Optional[int]
+) -> Tuple[Optional[MeshLayout], Optional[int]]:
+    """The ``(mesh, n_ranks)`` a distributed solver runs on: ``mesh`` may
+    be spelled ``[rows, cols]`` (how a JSON config carries it), and with
+    neither given the solver gets the CLI's small-cluster default of
+    four ranks."""
+    if mesh is None:
+        return None, 4 if n_ranks is None else n_ranks
+    if isinstance(mesh, MeshLayout):
+        return mesh, n_ranks
+    if (
+        isinstance(mesh, (list, tuple))
+        and len(mesh) == 2
+        and all(isinstance(v, int) for v in mesh)
+    ):
+        return MeshLayout(mesh[0], mesh[1]), n_ranks
+    raise SolverCapabilityError(
+        f"mesh must be [rows, cols] (two ints), got {mesh!r}"
+    )
+
+
 def _round_chunks(
     probe_lists: List[Tuple[int, ...]], period: Union[str, int]
 ) -> List[List[Tuple[int, ...]]]:
@@ -437,8 +466,9 @@ class GradientDecompositionReconstructor:
     Parameters
     ----------
     n_ranks / mesh:
-        Cluster size (mesh chosen automatically) or an explicit
-        :class:`~repro.parallel.topology.MeshLayout`.
+        Cluster size (mesh chosen automatically; 4 when neither is
+        given) or an explicit :class:`~repro.parallel.topology.MeshLayout`
+        (or its JSON spelling ``[rows, cols]``).
     iterations:
         Number of full sweeps over all probe locations.
     lr:
@@ -473,10 +503,17 @@ class GradientDecompositionReconstructor:
         pass after each probe update.
     """
 
+    #: The ``solver_params`` keys a config may set (the registry refuses
+    #: any other with :class:`SolverCapabilityError`).
+    accepted_params = RunOptions.names() | {
+        "n_ranks", "mesh", "iterations", "lr", "mode", "sync_period",
+        "planner", "halo", "compensate_local", "refine_probe", "probe_lr",
+    }
+
     def __init__(
         self,
         n_ranks: Optional[int] = None,
-        mesh: Optional[MeshLayout] = None,
+        mesh: Union[MeshLayout, Sequence[int], None] = None,
         iterations: int = 10,
         lr: float = 0.5,
         mode: str = "alg1",
@@ -500,8 +537,7 @@ class GradientDecompositionReconstructor:
         if refine_probe and probe_lr is not None and probe_lr <= 0:
             raise ValueError("probe_lr must be positive")
         self.options = RunOptions.of(options, **option_fields)
-        self.n_ranks = n_ranks
-        self.mesh = mesh
+        self.mesh, self.n_ranks = solver_mesh(mesh, n_ranks)
         self.iterations = iterations
         self.lr = float(lr)
         self.mode = mode

@@ -128,8 +128,7 @@ def run_fig5(mesh: Optional[MeshLayout] = None) -> Fig5Result:
     )
     scan = RasterScan(spec.scan_spec(), probe_window_px=spec.detector_px)
     decomp = decompose_gradient(scan, spec.object_shape, mesh=mesh)
-    # Built through the solver registry; schedule construction reaches
-    # the wrapped reconstructor via adapter delegation.
+    # Built through the solver registry, as a config names it.
     solver = solver_from_config(
         ReconstructionConfig(
             solver="gd",

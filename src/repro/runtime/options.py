@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, FrozenSet, Optional, Sequence
 
-__all__ = ["RunOptions"]
+__all__ = ["RunOptions", "SolverCapabilityError"]
+
+
+class SolverCapabilityError(ValueError):
+    """Raised when a solver is asked for a parameter or feature it does
+    not support (e.g. probe refinement with the halo-exchange baseline),
+    instead of silently dropping the request."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class RunOptions:
 
     @classmethod
     def names(cls) -> FrozenSet[str]:
-        """The option names (what an adapter's ``accepted_params`` adds)."""
+        """The option names (what a solver's ``accepted_params`` adds)."""
         return frozenset(f.name for f in fields(cls))
 
     @classmethod

@@ -318,69 +318,6 @@ class TestLockOrder:
 
 
 # ----------------------------------------------------------------------
-# fingerprint-knob
-# ----------------------------------------------------------------------
-_CONFIG_TEMPLATE = """
-from dataclasses import dataclass
-
-_FINGERPRINT_NUMERIC_FIELDS = frozenset({numeric})
-_FINGERPRINT_NEUTRAL_FIELDS = frozenset({neutral})
-
-
-@dataclass(frozen=True)
-class ReconstructionConfig:
-    solver: str
-    backend: str = None
-    telemetry: bool = None
-"""
-
-
-class TestFingerprintKnob:
-    def _tree(self, make_tree, numeric, neutral):
-        return make_tree({
-            "src/repro/api/config.py": _CONFIG_TEMPLATE.format(
-                numeric=numeric, neutral=neutral
-            ),
-        })
-
-    def test_undeclared_field(self, make_tree):
-        run = self._tree(make_tree, '{"solver", "backend"}', "()")
-        findings = run(rules=["fingerprint-knob"])
-        assert [f.rule for f in findings] == ["fingerprint-knob"]
-        assert "telemetry" in findings[0].message
-
-    def test_field_in_both_sets(self, make_tree):
-        run = self._tree(
-            make_tree,
-            '{"solver", "backend", "telemetry"}',
-            '{"telemetry"}',
-        )
-        findings = run(rules=["fingerprint-knob"])
-        assert any("both" in f.message for f in findings)
-
-    def test_unknown_member(self, make_tree):
-        run = self._tree(
-            make_tree,
-            '{"solver", "backend"}',
-            '{"telemetry", "warp_factor"}',
-        )
-        findings = run(rules=["fingerprint-knob"])
-        assert any("warp_factor" in f.message for f in findings)
-
-    def test_conforming(self, make_tree):
-        run = self._tree(
-            make_tree, '{"solver", "backend"}', '{"telemetry"}'
-        )
-        assert run(rules=["fingerprint-knob"]) == []
-
-    def test_real_config_is_declared(self):
-        # the real repo's declaration must stay exhaustive
-        from repro.analysis import lint
-
-        assert lint(rules=["fingerprint-knob"]) == []
-
-
-# ----------------------------------------------------------------------
 # registry-reachable
 # ----------------------------------------------------------------------
 class TestRegistryReachable:
@@ -399,6 +336,21 @@ class TestRegistryReachable:
         findings = run(rules=["registry-reachable"])
         assert [f.rule for f in findings] == ["registry-reachable"]
         assert findings[0].line == 3
+        assert "extra" in findings[0].message
+
+    def test_unimported_direct_registration(self, make_tree):
+        run = make_tree({
+            "src/repro/solvers/extra.py": _src(
+                """
+                from repro.api import register_solver
+                from repro.solvers.impl import ExtraSolver
+
+                register_solver("extra")(ExtraSolver)
+                """
+            ),
+        })
+        findings = run(rules=["registry-reachable"])
+        assert [f.line for f in findings] == [4]
         assert "extra" in findings[0].message
 
     def test_imported_registration_is_fine(self, make_tree):

@@ -1,10 +1,15 @@
 """ReconstructionConfig: validation, immutability, lossless round-trips."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import ReconstructionConfig
+from repro.api.config import (
+    _FINGERPRINT_NEUTRAL_FIELDS,
+    _FINGERPRINT_NUMERIC_FIELDS,
+)
 
 
 class TestConstruction:
@@ -170,3 +175,15 @@ class TestDerivation:
         assert hash(a) == hash(b)
         assert {a, b, c} == {a, c}
         assert {a: "x"}[b] == "x"
+
+
+class TestFingerprintDeclaration:
+    def test_every_field_is_declared_exactly_once(self):
+        # A field missing from both sets would neither perturb the
+        # fingerprint resume validation trusts nor be shown not to need to.
+        fields = {f.name for f in dataclasses.fields(ReconstructionConfig)}
+        numeric, neutral = (
+            _FINGERPRINT_NUMERIC_FIELDS, _FINGERPRINT_NEUTRAL_FIELDS
+        )
+        assert not numeric & neutral
+        assert numeric | neutral == fields

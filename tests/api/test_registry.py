@@ -14,7 +14,8 @@ from repro.api import (
     solver_names,
     unregister_solver,
 )
-from repro.core import ReconstructionResult
+from repro.baseline import HaloExchangeReconstructor, SerialReconstructor
+from repro.core import GradientDecompositionReconstructor, ReconstructionResult
 
 TINY = {"iterations": 2}
 
@@ -77,6 +78,47 @@ class TestRegistration:
             unregister_solver("never-was")
 
 
+class TestRegisteredClasses:
+    @pytest.mark.parametrize(
+        "name, cls",
+        [
+            ("gd", GradientDecompositionReconstructor),
+            ("hve", HaloExchangeReconstructor),
+            ("serial", SerialReconstructor),
+        ],
+    )
+    def test_config_builds_the_reconstructor_itself(self, name, cls):
+        solver = solver_from_config(ReconstructionConfig(name, TINY))
+        assert type(solver) is cls
+
+    def test_third_party_undeclared_param_is_capability_error(self):
+        @register_solver("narrow-test")
+        class Narrow:
+            accepted_params = frozenset({"iterations"})
+
+            def __init__(self, iterations=1):
+                self.iterations = iterations
+
+            def reconstruct(self, dataset, *, observers=(),
+                            initial_probe=None, initial_volume=None):
+                raise NotImplementedError
+
+        try:
+            with pytest.raises(SolverCapabilityError, match="bogus"):
+                solver_from_config(
+                    ReconstructionConfig("narrow-test", {"bogus": 1})
+                )
+        finally:
+            unregister_solver("narrow-test")
+
+    @pytest.mark.parametrize(
+        "cls", [GradientDecompositionReconstructor, HaloExchangeReconstructor]
+    )
+    def test_distributed_defaults_hold_on_direct_construction(self, cls):
+        assert cls().n_ranks == 4
+        assert cls(mesh=[1, 2]).mesh.n_ranks == 2
+
+
 class TestAdapters:
     def test_unknown_param_is_capability_error(self):
         with pytest.raises(SolverCapabilityError) as err:
@@ -98,7 +140,7 @@ class TestAdapters:
         solver = solver_from_config(
             ReconstructionConfig("gd", {"mesh": [2, 2], "iterations": 1})
         )
-        assert solver.inner.mesh.n_ranks == 4
+        assert solver.mesh.n_ranks == 4
 
     def test_bad_mesh_spelling_rejected(self):
         with pytest.raises(SolverCapabilityError, match="rows, cols"):

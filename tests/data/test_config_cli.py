@@ -65,7 +65,7 @@ class TestConfigFields:
         )
         solver = solver_from_config(config)
         # It reaches the one-rank solver whose options the engine reads.
-        assert solver.inner.solver.options.batch_size == 6
+        assert solver.solver.options.batch_size == 6
 
     def test_injection_rejected_without_opt_in(self):
         from repro.api.registry import register_solver, unregister_solver

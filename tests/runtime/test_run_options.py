@@ -178,7 +178,7 @@ def test_three_spellings_are_one_run(tiny_dataset, tiny_lr, name):
     )
     assert by_keyword.options == by_object.options
     config = ReconstructionConfig(name, params, batch_size=3, probe_modes=2)
-    assert solver_from_config(config).inner.options == by_object.options
+    assert solver_from_config(config).options == by_object.options
     reference = by_keyword.reconstruct(tiny_dataset)
     assert_results_identical(reference, by_object.reconstruct(tiny_dataset))
     assert_results_identical(reference, repro.reconstruct(tiny_dataset, config))
