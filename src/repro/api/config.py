@@ -51,9 +51,8 @@ _FINGERPRINT_NUMERIC_FIELDS = frozenset(
 #: never changes *what* is computed for a given coverage trajectory: a
 #: source whose frames all pre-arrive is parity-pinned bit-identical to
 #: the static path, and a partially-covered epoch differs only through
-#: the ``positions`` solver param of the internal per-epoch configs —
-#: which is numeric, and which the archived run-level config never
-#: contains.
+#: the ``positions`` each epoch's solver is built with — which is
+#: numeric, and which the archived run-level config never contains.
 _FINGERPRINT_NEUTRAL_FIELDS = frozenset(
     {
         "run_params",

@@ -5,7 +5,10 @@ through the registry, instantiates it with the config's
 ``solver_params``, applies the run-level parameters (currently
 ``resume``), and executes — one code path for the paper's Algorithm 1,
 the halo-exchange baseline, the serial solver, and any third-party
-registration.
+registration.  A run is a chain of legs, each continuing the ledger of
+the legs before it: a static run is one leg, a resumed run one leg after
+its archive, and a streamed run one leg per coverage epoch
+(:mod:`repro.api.streaming`).  Every leg runs through ``_run_leg``.
 """
 
 from __future__ import annotations
@@ -144,11 +147,6 @@ def reconstruct(
     if owned:
         store.close()
     resolve_batch_size(config.batch_size)
-    # Streamed runs (scan_source set) defer solver construction to the
-    # epoch driver, which builds one static solver per coverage epoch.
-    solver = None if config.scan_source is not None else solver_from_config(
-        config
-    )
     resume = config.run_params.get("resume")
     prior: Optional[ResultArchive] = None
     if initial_volume is None and resume is not None:
@@ -180,8 +178,6 @@ def reconstruct(
         # from the dataset's nominal one.
         if initial_probe is None and archive.probe is not None:
             initial_probe = archive.probe
-    if prior is not None and observers and solver is not None:
-        observers = (relay_leg(observers, prior),)
     # A recorder already activated by the caller (the CLI's --trace, a
     # service worker) is reused so its spans and the run's spans land on
     # one timeline; otherwise the usual precedence applies — explicit
@@ -191,27 +187,22 @@ def reconstruct(
     cfg: ReconstructionConfig = config
 
     def _run() -> ReconstructionResult:
-        if solver is None:
-            # Local import: repro.api.streaming imports this module's
-            # sibling registry, so a top-level import would be circular.
-            from repro.api.streaming import run_streaming
+        if cfg.scan_source is None:
+            return _run_leg(
+                dataset, cfg, observers, prior,
+                initial_probe=initial_probe, initial_volume=initial_volume,
+            )
+        # Local import: repro.api.streaming imports this module.
+        from repro.api.streaming import run_streaming
 
-            return run_streaming(
-                dataset,
-                cfg,
-                observers=observers,
-                initial_probe=initial_probe,
-                initial_volume=initial_volume,
-                prior=prior,
-            )
-        with raise_in_run(prior):
-            leg = solver.reconstruct(
-                dataset,
-                observers=observers,
-                initial_probe=initial_probe,
-                initial_volume=initial_volume,
-            )
-        return fold_leg(leg, prior)
+        return run_streaming(
+            dataset,
+            cfg,
+            observers=observers,
+            initial_probe=initial_probe,
+            initial_volume=initial_volume,
+            prior=prior,
+        )
 
     ambient = _obs.current()
     if ambient.enabled:
@@ -225,3 +216,44 @@ def reconstruct(
         result.telemetry = tel.summary()
         return result
     return _run()
+
+
+def _run_leg(
+    dataset: PtychoDataset,
+    config: ReconstructionConfig,
+    observers: Sequence[Observer],
+    prior: Any,
+    *,
+    initial_probe: Optional[np.ndarray],
+    initial_volume: Optional[np.ndarray],
+    n_iterations: Optional[int] = None,
+    elapsed_s: float = 0.0,
+    coverage: Optional[float] = None,
+    **options: Any,
+) -> ReconstructionResult:
+    """Run one leg of a run: the static run, a resumed leg, or one
+    streamed epoch.
+
+    The leg continues ``prior`` (the run before it: a resume archive or
+    the epochs folded so far; ``None`` for a fresh run).  Its solver is
+    built from ``config`` plus ``options`` (a streamed epoch's store
+    and ``positions``), its events reach ``observers`` run-global
+    (:func:`~repro.core.reconstructor.relay_leg`, with the epoch's
+    ``n_iterations``, ``elapsed_s`` and ``coverage``), a divergence is
+    re-raised in run terms, and the returned result has ``prior``'s
+    ledger folded in.
+    """
+    solver = solver_from_config(config, **options)
+    if observers:
+        observers = (relay_leg(
+            observers, prior, n_iterations=n_iterations,
+            elapsed_s=elapsed_s, coverage=coverage,
+        ),)
+    with raise_in_run(prior):
+        leg = solver.reconstruct(
+            dataset,
+            observers=observers,
+            initial_probe=initial_probe,
+            initial_volume=initial_volume,
+        )
+    return fold_leg(leg, prior)

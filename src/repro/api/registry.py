@@ -18,7 +18,10 @@ A registered class implements the :class:`Solver` protocol and is
 constructed from a config's ``solver_params`` mapping
 (``cls(**params)``); ``accepted_params`` names the keys it takes (none
 when absent), and :func:`solver_from_config` refuses any other with a
-:class:`SolverCapabilityError`.  The three paper reconstructors are
+:class:`SolverCapabilityError`.  A solver can stream (a config with
+``scan_source``) when ``accepted_params`` holds ``positions`` and
+``data_source``: each epoch's solver is built with the in-process store
+and the coverage snapshot.  The three paper reconstructors are
 registered as they are by :mod:`repro.api.solvers`.
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
@@ -129,8 +133,12 @@ def get_solver(name: str) -> Type:
         raise UnknownSolverError(_unknown_message(name)) from None
 
 
-def solver_from_config(config: "ReconstructionConfig") -> Solver:
-    """Instantiate the solver a config names, with its ``solver_params``.
+def solver_from_config(
+    config: "ReconstructionConfig", **options: Any
+) -> Solver:
+    """Instantiate the solver a config names, with its ``solver_params``
+    and ``options``, in-process values a config cannot carry (a streamed
+    epoch's store and coverage).
 
     A ``solver_params`` key outside the solver's ``accepted_params`` is a
     :class:`SolverCapabilityError`.  The config fields that are run
@@ -143,7 +151,7 @@ def solver_from_config(config: "ReconstructionConfig") -> Solver:
     a :class:`SolverCapabilityError`, never a silent drop.
     """
     cls = get_solver(config.solver)
-    params = dict(config.solver_params)
+    params = {**config.solver_params, **options}
     accepted = getattr(cls, "accepted_params", frozenset())
     unknown = set(params) - set(accepted)
     if unknown:

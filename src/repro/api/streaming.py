@@ -15,36 +15,39 @@ That construction is what makes the two parity invariants hold exactly:
   from its predecessor's volume (pinned by
   ``tests/data/test_stream_parity.py``).
 
-Between epochs the driver pumps the feeder (sweep-keyed schedules) or
-waits, bounded by the policy timeout, for new frames (timed schedules) —
-the WAIT half of the WAIT/END_OF_SCAN semantics.  Once coverage is
-complete or the scan ended, the remaining iterations run as one final
-epoch.  Observers see a single continuous run: each epoch's events pass
-through :func:`~repro.core.reconstructor.relay_leg`, as a resumed static
-run's do, so they are run-global (a resume archive's iterations and
-traffic included) and carry the coverage fraction on
-:attr:`~repro.core.observers.IterationEvent.coverage`.
+Each epoch is one leg of the run, run by the same leg runner as a
+static or resumed run (``repro.api.reconstruct._run_leg``): its solver
+is built from the epoch's config plus the in-process store and the
+coverage snapshot as ``positions``, it continues the ledger of the
+epochs (and resume archive) before it, and its events and divergence
+are run-global (:func:`~repro.core.reconstructor.relay_leg`,
+:func:`~repro.core.reconstructor.raise_in_run`), with the coverage
+fraction stamped on :attr:`~repro.core.observers.IterationEvent.coverage`.
+What is left here is the streaming itself: the coverage and epoch
+decisions, the feeder, and the ``stream.*`` telemetry.  Between epochs
+the driver pumps the feeder (sweep-keyed schedules) or waits, bounded by
+the policy timeout, for new frames (timed schedules) — the WAIT half of
+the WAIT/END_OF_SCAN semantics.  Once coverage is complete or the scan
+ended, the remaining iterations run as one final epoch.  A solver whose
+``accepted_params`` lack ``positions`` or ``data_source`` cannot stream
+and is refused before any frame is fed.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import replace
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.api.config import ReconstructionConfig
-from repro.api.registry import solver_from_config
+from repro.api.reconstruct import _run_leg
+from repro.api.registry import SolverCapabilityError, get_solver
 from repro.core.observers import Observer
-from repro.core.reconstructor import (
-    ReconstructionResult,
-    fold_leg,
-    raise_in_run,
-    relay_leg,
-)
+from repro.core.reconstructor import ReconstructionResult
 from repro.data.streaming import (
-    ScanSource,
     StreamError,
     StreamFeeder,
     StreamingStore,
@@ -57,34 +60,9 @@ from repro.physics.dataset import PtychoDataset
 
 __all__ = ["run_streaming"]
 
-
-def _epoch_config(
-    config: ReconstructionConfig,
-    n_iter: int,
-    covered: Optional[Tuple[int, ...]],
-    policy: StreamPolicy,
-    advertised: int,
-) -> ReconstructionConfig:
-    """The static config of one epoch: streaming fields stripped, the
-    iteration budget set, and — while coverage is partial — the sweep
-    restricted to the covered positions (optionally re-weighted)."""
-    params: Dict[str, Any] = dict(config.solver_params)
-    params["iterations"] = int(n_iter)
-    params.pop("positions", None)
-    if covered is not None:
-        params["positions"] = [int(p) for p in covered]
-        if policy.reweight:
-            params["lr"] = float(params["lr"]) * (
-                advertised / len(covered)
-            )
-    # ``data_source`` is already ``None`` (exclusive with ``scan_source``).
-    return replace(
-        config,
-        solver_params=params,
-        run_params={},
-        scan_source=None,
-        stream_policy=None,
-    )
+#: The run options an epoch's solver is built with: the in-process
+#: store it reads, and the coverage snapshot its sweeps are planned on.
+_EPOCH_OPTIONS = frozenset({"data_source", "positions"})
 
 
 def _wait_for_frames(
@@ -94,17 +72,15 @@ def _wait_for_frames(
     (counted here, on the driver thread, so counters land on the
     recorder active for this run)."""
     tel = _obs.current()
-    if not tel.enabled:
-        store.wait_for(n, timeout=policy.wait_timeout_s)
-        return
     t0 = time.perf_counter()
     try:
         store.wait_for(n, timeout=policy.wait_timeout_s)
     finally:
-        tel.add({
-            "stream.waits": 1,
-            "stream.wait_seconds": time.perf_counter() - t0,
-        })
+        if tel.enabled:
+            tel.add({
+                "stream.waits": 1,
+                "stream.wait_seconds": time.perf_counter() - t0,
+            })
 
 
 def run_streaming(
@@ -120,24 +96,22 @@ def run_streaming(
 
     Called by :func:`repro.api.reconstruct.reconstruct` when
     ``config.scan_source`` is set; not normally invoked directly.
-    ``prior`` is a resumed run's archive: its ledger is folded into the
-    events and the result, and the feeder fast-forwards its sweep clock
-    by its iterations, so the sweep-keyed waves that had arrived before
-    the interrupt are re-delivered up front, deterministically
-    rebuilding the frame journal the interrupted run had seen.
+    ``prior`` is a resumed run's archive: the first epoch continues it,
+    and the feeder fast-forwards its sweep clock by its iterations, so
+    the sweep-keyed waves that had arrived before the interrupt are
+    re-delivered up front, deterministically rebuilding the frame
+    journal the interrupted run had seen.
     """
-    policy = StreamPolicy.from_mapping(config.stream_policy)
-    source: ScanSource = build_scan_source(
-        dict(config.scan_source or {}), dataset
-    )
-    if source.n_probes != dataset.n_probes or (
-        source.detector_px != dataset.spec.detector_px
-    ):
-        raise StreamError(
-            f"scan source advertises {source.n_probes} x "
-            f"{source.detector_px}px frames but the dataset expects "
-            f"{dataset.n_probes} x {dataset.spec.detector_px}px"
+    accepted = getattr(get_solver(config.solver), "accepted_params", ())
+    missing = sorted(_EPOCH_OPTIONS - set(accepted))
+    if missing:
+        raise SolverCapabilityError(
+            f"solver {config.solver!r} cannot stream: a scan_source run "
+            f"plans each epoch over the frames arrived so far, which "
+            f"needs {missing} in the solver's accepted_params"
         )
+    policy = StreamPolicy.from_mapping(config.stream_policy)
+    schedule = build_scan_source(dict(config.scan_source or {}), dataset)
     if policy.reweight and "lr" not in config.solver_params:
         raise ValueError(
             "stream_policy reweight=true needs an explicit 'lr' in "
@@ -147,16 +121,14 @@ def run_streaming(
     if total <= 0:
         raise ValueError("iterations must be positive")
 
+    amplitudes = schedule.amplitudes
     store = StreamingStore(
-        source.n_probes, source.detector_px, source.frame_dtype
+        amplitudes.shape[0], amplitudes.shape[1], amplitudes.dtype
     )
-    feeder = StreamFeeder(source, store)
+    feeder = StreamFeeder(schedule, store)
     tel = _obs.current()
     elapsed_s = 0.0
-    run_observers = tuple(observers)
-    volume = initial_volume
-    probe = initial_probe
-    epoch_probe: Optional[np.ndarray] = None
+    volume, probe = initial_volume, initial_probe
     banked = len(prior.history) if prior is not None else 0
     # The run so far: the resume archive, then each epoch folded on.
     ledger: Any = prior
@@ -204,52 +176,44 @@ def run_streaming(
             ):
                 # Coverage grew: discard the warm start and let this
                 # epoch begin from vacuum over the wider position set.
-                volume = None
-                epoch_probe = None
-            coverage_frac = len(covered) / store.n_probes
-            epoch_config = _epoch_config(
-                config,
-                n_iter,
-                None if full else covered,
-                policy,
-                store.n_probes,
-            )
-            # A solver that streams carries its RunOptions as ``options``;
-            # open_store passes a store instance straight through.
-            solver: Any = solver_from_config(epoch_config)
-            solver.options = replace(solver.options, data_source=store)
-            relay = relay_leg(
-                run_observers, ledger, n_iterations=banked + total,
-                elapsed_s=elapsed_s, coverage=coverage_frac,
-            )
-            kwargs: Dict[str, Any] = {
-                "observers": (relay,),
-                "initial_volume": volume,
+                volume, probe = None, initial_probe
+            # The epoch's solver params: its iteration budget and, while
+            # coverage is partial and the policy asks, the step scaled
+            # by advertised / covered.
+            params: Dict[str, Any] = {
+                **config.solver_params, "iterations": n_iter
             }
-            # Only forward a probe when one exists: hve rejects
-            # initial_probe (no probe-refinement path), exactly as it
-            # does on the static path.
-            carried_probe = epoch_probe if epoch_probe is not None else probe
-            if carried_probe is not None:
-                kwargs["initial_probe"] = carried_probe
+            if policy.reweight and not full:
+                params["lr"] = float(params["lr"]) * (
+                    store.n_probes / len(covered)
+                )
+            span = tel.span(
+                "stream.epoch",
+                epoch=epoch_index,
+                iterations=n_iter,
+                covered=len(covered),
+            ) if tel.enabled else nullcontext()
             t0 = time.perf_counter()
+            with span:
+                ledger = _run_leg(
+                    dataset,
+                    replace(config, solver_params=params),
+                    observers,
+                    ledger,
+                    initial_probe=probe,
+                    initial_volume=volume,
+                    n_iterations=banked + total,
+                    elapsed_s=elapsed_s,
+                    coverage=len(covered) / store.n_probes,
+                    data_source=store,
+                    positions=None if full else list(covered),
+                )
             if tel.enabled:
-                with tel.span(
-                    "stream.epoch",
-                    epoch=epoch_index,
-                    iterations=n_iter,
-                    covered=len(covered),
-                ), raise_in_run(ledger):
-                    epoch = solver.reconstruct(dataset, **kwargs)
                 tel.count("stream.epochs")
-            else:
-                with raise_in_run(ledger):
-                    epoch = solver.reconstruct(dataset, **kwargs)
             elapsed_s += time.perf_counter() - t0
-            ledger = fold_leg(epoch, ledger)
             volume = ledger.volume
             if ledger.probe is not None:
-                epoch_probe = ledger.probe
+                probe = ledger.probe
             it_done += n_iter
             epoch_index += 1
             prev_covered = len(covered)

@@ -107,8 +107,7 @@ class SerialReconstructor:
         self,
     ) -> Union[GradientDecompositionReconstructor, HaloExchangeReconstructor]:
         """The distributed solver whose one-rank schedule
-        :meth:`reconstruct` runs, built from the current fields (the
-        streaming driver swaps ``options`` between epochs)."""
+        :meth:`reconstruct` runs, built from the current fields."""
         one_rank: Dict[str, Any] = dict(
             n_ranks=1,
             iterations=self.iterations,

@@ -32,6 +32,7 @@ from repro.core.observers import IterationEvent, Observer, dispatch
 from repro.core.reconstructor import (
     DivergenceError,
     GradientDecompositionReconstructor,
+    LegFailedError,
     ReconstructionResult,
 )
 from repro.core.stitching import stitch
@@ -52,6 +53,7 @@ __all__ = [
     "dispatch",
     "DivergenceError",
     "GradientDecompositionReconstructor",
+    "LegFailedError",
     "ReconstructionResult",
     "stitch",
 ]

@@ -18,16 +18,16 @@ API re-exports everything here as ``repro.api.IterationEvent`` etc.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.reconstructor import ReconstructionResult
 
 __all__ = [
     "IterationEvent",
-    "IterationEmitter",
     "Observer",
     "dispatch",
 ]
@@ -40,8 +40,9 @@ class IterationEvent:
     Events are **run-global**: resumed runs and streaming epochs relay
     theirs through :func:`~repro.core.reconstructor.relay_leg`, so
     ``iteration``, ``n_iterations`` and traffic read as in the
-    uninterrupted run.  ``elapsed_s`` alone is per call: result archives
-    carry no elapsed time to continue from.
+    uninterrupted run, and the memory peaks are the run's high-water.
+    ``elapsed_s`` alone is per call: result archives carry no elapsed
+    time to continue from.
 
     Attributes
     ----------
@@ -60,8 +61,11 @@ class IterationEvent:
         Wall-clock seconds since this call started (see above).
     messages / message_bytes:
         Cumulative point-to-point traffic of the run so far.
-    peak_memory_bytes:
-        Mean per-rank peak allocation measured so far by this call.
+    peak_memory_per_rank:
+        Per-rank peak allocation of the run so far (a resumed or
+        streamed leg's relay folds in the earlier legs' peaks with
+        :func:`~repro.core.reconstructor.fold_leg`'s element-wise max),
+        so it equals ``snapshot().peak_memory_per_rank``.
     snapshot:
         Zero-argument callable materializing the reconstruction state as
         a :class:`~repro.core.reconstructor.ReconstructionResult`
@@ -83,11 +87,18 @@ class IterationEvent:
     elapsed_s: float
     messages: int
     message_bytes: int
-    peak_memory_bytes: float
+    peak_memory_per_rank: List[int]
     snapshot: Callable[[], "ReconstructionResult"] = field(
         repr=False, compare=False
     )
     coverage: Optional[float] = None
+
+    @property
+    def peak_memory_bytes(self) -> float:
+        """Mean of :attr:`peak_memory_per_rank` (the paper's memory
+        metric, as :attr:`~repro.core.reconstructor.ReconstructionResult.
+        peak_memory_mean`)."""
+        return float(np.mean(self.peak_memory_per_rank))
 
     @property
     def is_last(self) -> bool:
@@ -108,52 +119,3 @@ def dispatch(observers: Iterable[Observer], event: IterationEvent) -> None:
     """
     for observer in observers:
         observer(event)
-
-
-class IterationEmitter:
-    """Per-run event factory shared by all reconstructors.
-
-    Owns the wall-clock origin and the run-constant event fields so each
-    reconstructor's loop only supplies what varies per iteration.  A
-    no-op (including the ``snapshot`` thunk, which is never called) when
-    the observer list is empty.
-    """
-
-    def __init__(
-        self,
-        solver: str,
-        n_iterations: int,
-        observers: Sequence[Observer],
-    ) -> None:
-        self.solver = solver
-        self.n_iterations = n_iterations
-        self.observers = tuple(observers)
-        self._start = time.perf_counter()
-
-    def emit(
-        self,
-        iteration: int,
-        cost: float,
-        *,
-        messages: int,
-        message_bytes: int,
-        peak_memory_bytes: float,
-        snapshot: Callable[[], "ReconstructionResult"],
-    ) -> None:
-        """Build this iteration's event and deliver it to all observers."""
-        if not self.observers:
-            return
-        dispatch(
-            self.observers,
-            IterationEvent(
-                solver=self.solver,
-                iteration=iteration,
-                n_iterations=self.n_iterations,
-                cost=cost,
-                elapsed_s=time.perf_counter() - self._start,
-                messages=messages,
-                message_bytes=message_bytes,
-                peak_memory_bytes=peak_memory_bytes,
-                snapshot=snapshot,
-            ),
-        )

@@ -30,6 +30,7 @@ on.
 from __future__ import annotations
 
 import math
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -50,12 +51,7 @@ import numpy as np
 
 from repro.core.decomposition import Decomposition, decompose_gradient
 from repro.obs import telemetry as _obs
-from repro.core.observers import (
-    IterationEmitter,
-    IterationEvent,
-    Observer,
-    dispatch,
-)
+from repro.core.observers import IterationEvent, Observer, dispatch
 from repro.core.passes import (
     build_allreduce_sync,
     build_appp_passes,
@@ -85,6 +81,7 @@ from repro.schedule.ops import (
 __all__ = [
     "DivergenceError",
     "GradientDecompositionReconstructor",
+    "LegFailedError",
     "ReconstructionResult",
     "fold_leg",
     "raise_in_run",
@@ -124,6 +121,18 @@ class DivergenceError(RuntimeError):
         self.solver = solver
         self.iteration = iteration
         self.last_finite_cost = last_finite_cost
+
+
+class LegFailedError(RuntimeError):
+    """An event's ``snapshot()`` was called after its leg failed.
+
+    A leg that raised (a :class:`DivergenceError`, a failing step, or an
+    observer raising, as the service's cancel does) leaves no state a
+    caller may stitch: the serial executor's tiles may hold the
+    non-finite iterate and a process session's shared memory is gone.
+    :func:`run_session` raises this from every such snapshot, whatever
+    the executor.
+    """
 
 
 @dataclass
@@ -208,15 +217,18 @@ def fold_leg(leg: _Leg, prior: Any) -> _Leg:
         history=[*prior.history, *leg.history],
         messages=int(prior.messages) + int(leg.messages),
         message_bytes=int(prior.message_bytes) + int(leg.message_bytes),
-        peak_memory_per_rank=[
-            max(int(before), int(now))  # byte counts: 0 pads a ragged tail
-            for before, now in zip_longest(
-                prior.peak_memory_per_rank,
-                leg.peak_memory_per_rank,
-                fillvalue=0,
-            )
-        ],
+        peak_memory_per_rank=_high_water(prior, leg),
     )
+
+
+def _high_water(prior: Any, leg: Any) -> List[int]:
+    """The element-wise max of two per-rank peak lists."""
+    return [
+        max(int(before), int(now))  # byte counts: 0 pads a ragged tail
+        for before, now in zip_longest(
+            prior.peak_memory_per_rank, leg.peak_memory_per_rank, fillvalue=0
+        )
+    ]
 
 
 def relay_leg(
@@ -231,8 +243,9 @@ def relay_leg(
     a leg's events to ``observers`` as the uninterrupted run's.
 
     ``iteration`` and ``n_iterations`` shift by ``len(prior.history)``,
-    the traffic counters gain ``prior``'s and ``snapshot()`` folds
-    ``prior`` in (``prior=None`` shifts nothing).  ``elapsed_s`` stays
+    the traffic counters gain ``prior``'s, the per-rank memory peaks
+    take ``prior``'s element-wise max and ``snapshot()`` folds ``prior``
+    in (``prior=None`` shifts nothing).  ``elapsed_s`` stays
     per call, offset only by earlier epochs of the call.  A streaming
     epoch passes the run's total as ``n_iterations`` (its own would fire
     ``is_last`` early) and its ``coverage``.
@@ -252,6 +265,10 @@ def relay_leg(
             elapsed_s=elapsed_s + event.elapsed_s,
             messages=messages + event.messages,
             message_bytes=message_bytes + event.message_bytes,
+            peak_memory_per_rank=(
+                event.peak_memory_per_rank if prior is None
+                else _high_water(prior, event)
+            ),
             snapshot=lambda: fold_leg(event.snapshot(), prior),
             coverage=coverage,
         ))
@@ -296,11 +313,15 @@ def run_session(
     session), so whatever happens at the iteration boundary (tracing,
     observer events, later a health check) is written once.  The
     session is closed on every exit path, including ``step()`` or an
-    observer raising (the service interrupts a leg by raising from one).
+    observer raising (the service interrupts a leg by raising from one),
+    and an event's ``snapshot()`` called after such a failure raises
+    :class:`LegFailedError` on every executor.
     """
     tel = _obs.current()
     history: List[float] = []
-    final: List[ReconstructionResult] = []  # set as the session closes
+    # Set once the session closed: the final result, or None if the leg
+    # failed (no snapshot may then stitch its state).
+    final: List[Optional[ReconstructionResult]] = []
 
     def result_snapshot() -> ReconstructionResult:
         # Materializes the session state *at call time*, so volume,
@@ -309,6 +330,11 @@ def run_session(
         # process session's shared memory is gone) that is the final
         # result, copied so no two snapshots share a volume.
         if final:
+            if final[0] is None:
+                raise LegFailedError(
+                    f"{solver_name} leg failed: it leaves no state to "
+                    "snapshot"
+                )
             return replace(final[0], volume=final[0].volume.copy())
         return ReconstructionResult(
             volume=stitch(decomp, session.volumes(), dataset.n_slices),
@@ -320,30 +346,39 @@ def run_session(
             probe=session.probe(),
         )
 
-    # Constructed after launch: ``elapsed_s`` counts from the first step.
-    emitter = IterationEmitter(solver_name, iterations, observers)
-    with session:  # closed on every exit path
-        for it in range(iterations):
-            if tel.enabled:
-                with tel.span("run.iteration", iteration=it):
+    # Taken after launch: ``elapsed_s`` counts from the first step.
+    start = time.perf_counter()
+    try:
+        with session:  # closed on every exit path
+            for it in range(iterations):
+                if tel.enabled:
+                    with tel.span("run.iteration", iteration=it):
+                        cost = session.step()
+                else:
                     cost = session.step()
-            else:
-                cost = session.step()
-            if not math.isfinite(cost):
-                raise DivergenceError(
-                    solver_name, it, history[-1] if history else None
-                )
-            history.append(cost)
-            emitter.emit(
-                it,
-                cost,
-                messages=session.messages,
-                message_bytes=session.message_bytes,
-                peak_memory_bytes=float(np.mean(session.per_rank_peaks)),
-                snapshot=result_snapshot,
-            )
-        final.append(result_snapshot())
-    return final[0]
+                if not math.isfinite(cost):
+                    raise DivergenceError(
+                        solver_name, it, history[-1] if history else None
+                    )
+                history.append(cost)
+                if observers:
+                    dispatch(observers, IterationEvent(
+                        solver=solver_name,
+                        iteration=it,
+                        n_iterations=iterations,
+                        cost=cost,
+                        elapsed_s=time.perf_counter() - start,
+                        messages=session.messages,
+                        message_bytes=session.message_bytes,
+                        peak_memory_per_rank=session.per_rank_peaks,
+                        snapshot=result_snapshot,
+                    ))
+            result = result_snapshot()
+    except BaseException:
+        final.append(None)
+        raise
+    final.append(result)
+    return result
 
 
 def run_plan(

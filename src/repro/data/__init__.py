@@ -9,8 +9,9 @@ Public surface:
   helpers;
 * streaming — the dynamic-acquisition layer: :class:`StreamingStore`
   (appendable store with WAIT/END_OF_SCAN semantics), the
-  :class:`ScanSource` protocol with simulated/replay implementations,
-  the :class:`StreamFeeder` that pumps waves into a store, and the
+  :class:`WaveSchedule` in which a dataset's own frames arrive (built
+  from a config's ``scan_source`` by :func:`build_scan_source`), the
+  :class:`StreamFeeder` that pumps its waves into a store, and the
   :class:`StreamPolicy` run knobs.
 """
 
@@ -31,16 +32,14 @@ from repro.data.store import (
     write_store,
 )
 from repro.data.streaming import (
-    ReplayScanSource,
-    ScanSource,
     ScanWave,
-    SimulatedScanSource,
     StreamError,
     StreamFeeder,
     StreamingStore,
     StreamPolicy,
     StreamStatus,
     StreamTimeout,
+    WaveSchedule,
     build_scan_source,
 )
 
@@ -50,10 +49,7 @@ __all__ = [
     "ENV_BATCH_SIZE",
     "Hdf5Store",
     "InMemoryStore",
-    "ReplayScanSource",
-    "ScanSource",
     "ScanWave",
-    "SimulatedScanSource",
     "StoreFormatError",
     "StoreUnavailableError",
     "StreamError",
@@ -62,6 +58,7 @@ __all__ = [
     "StreamStatus",
     "StreamTimeout",
     "StreamingStore",
+    "WaveSchedule",
     "build_scan_source",
     "default_batch_size",
     "open_store",

@@ -13,15 +13,14 @@ dynamic half of the data layer:
   frames exist — the WAIT side of the WAIT/END_OF_SCAN semantics.
   ``mark_end_of_scan()`` is the END_OF_SCAN side: once set, waiters
   settle immediately even when fewer frames than advertised arrived.
-* :class:`ScanSource` — the protocol a frame producer implements:
-  advertised geometry plus a deterministic wave schedule.
-* :class:`SimulatedScanSource` — scripted arrival schedules (waves,
-  stalls, out-of-order positions, an explicit end-of-scan marker) for
-  tests and smoke runs.
-* :class:`ReplayScanSource` — replays any existing measurement stack or
-  store incrementally, in ``K`` contiguous waves — how an archived
-  acquisition is fed back through the streaming path.
-* :class:`StreamFeeder` — delivers a source's waves into a
+* :class:`WaveSchedule` — the acquisition itself: which frames of the
+  dataset's own measurement stack arrive in which :class:`ScanWave`.
+  :func:`build_scan_source` resolves the config's two spec kinds to
+  one: ``replay`` (``K`` contiguous sweep-keyed waves, how an archived
+  acquisition is fed back through the streaming path) and
+  ``simulated`` (scripted waves, stalls, out-of-order positions and an
+  explicit end-of-scan marker, for tests and smoke runs).
+* :class:`StreamFeeder` — delivers a schedule's waves into a
   :class:`StreamingStore`, either synchronously keyed on solver sweeps
   (``feed_until``) or from a background thread on a timed schedule.
 * :class:`StreamPolicy` — the run-level knobs (wait timeout, minimum
@@ -37,12 +36,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -64,9 +62,7 @@ __all__ = [
     "StreamStatus",
     "StreamingStore",
     "ScanWave",
-    "ScanSource",
-    "SimulatedScanSource",
-    "ReplayScanSource",
+    "WaveSchedule",
     "StreamFeeder",
     "StreamPolicy",
     "build_scan_source",
@@ -193,11 +189,6 @@ class StreamingStore(DiffractionStore):
             self._journal.append(index)
             self._cond.notify_all()
 
-    def extend(self, pairs: Iterable[Tuple[int, np.ndarray]]) -> None:
-        """Deliver several ``(index, frame)`` pairs in order."""
-        for index, frame in pairs:
-            self.append(index, frame)
-
     def mark_end_of_scan(self) -> None:
         """Declare that no further frames will arrive.  Idempotent.
         Waiters wake immediately and settle on the covered subset."""
@@ -277,7 +268,7 @@ class StreamingStore(DiffractionStore):
 
 
 # ----------------------------------------------------------------------
-# Scan sources
+# Wave schedules
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScanWave:
@@ -298,200 +289,81 @@ class ScanWave:
     end_of_scan: bool = False
 
 
-class ScanSource:
-    """Protocol for frame producers: advertised geometry plus a
-    deterministic wave schedule.  Subclasses provide frame payloads via
-    :meth:`frame`."""
-
-    @property
-    def n_probes(self) -> int:
-        """Advertised probe count (what the scan promises)."""
-        raise NotImplementedError
-
-    @property
-    def detector_px(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def frame_dtype(self) -> np.dtype:
-        raise NotImplementedError
-
-    @property
-    def waves(self) -> Tuple[ScanWave, ...]:
-        raise NotImplementedError
-
-    @property
-    def mode(self) -> str:
-        """``"sweep"`` (progress-gated) or ``"timed"`` (delay-gated)."""
-        timed = any(w.delay_s > 0 for w in self.waves)
-        gated = any(w.after_sweep is not None for w in self.waves)
-        if timed and gated:
-            raise StreamError(
-                "scan schedule mixes after_sweep and delay_s gating; "
-                "a schedule is either sweep-keyed or timed, not both"
-            )
-        return "timed" if timed else "sweep"
-
-    def frame(self, index: int) -> np.ndarray:
-        """The amplitude payload of probe ``index``."""
-        raise NotImplementedError
-
-
-def _validate_waves(
-    waves: Sequence[ScanWave], n_probes: int
-) -> Tuple[ScanWave, ...]:
-    seen: set = set()
-    for w, wave in enumerate(waves):
-        if not wave.frames and not wave.end_of_scan:
-            raise StreamError(f"wave {w} delivers no frames")
-        for idx in wave.frames:
-            if not (0 <= idx < n_probes):
-                raise StreamError(
-                    f"wave {w} frame {idx} out of advertised range "
-                    f"[0, {n_probes})"
-                )
-            if idx in seen:
-                raise StreamError(
-                    f"frame {idx} scheduled twice (wave {w})"
-                )
-            seen.add(idx)
-        if wave.delay_s < 0:
-            raise StreamError(f"wave {w} has negative delay_s")
-        if wave.after_sweep is not None and wave.after_sweep < 0:
-            raise StreamError(f"wave {w} has negative after_sweep")
-    return tuple(waves)
-
-
-class SimulatedScanSource(ScanSource):
-    """A deterministic scripted acquisition over an in-RAM stack.
+class WaveSchedule:
+    """A deterministic acquisition: the waves in which the frames of a
+    measurement stack arrive.
 
     ``waves`` script exactly when each frame becomes visible; stalls are
     spelled as large ``delay_s`` gaps, out-of-order positions as frame
     lists in non-raster order, and an early scan end as a wave with
-    ``end_of_scan=True`` before full coverage.  ``advertised`` defaults
-    to the stack size but may exceed the scheduled frames — that is the
-    "scan promised more than it delivered" fault the driver must settle
-    gracefully.
+    ``end_of_scan=True`` before full coverage.  A schedule is either
+    sweep-keyed or timed (:attr:`mode`), never both.
     """
 
     def __init__(
-        self,
-        amplitudes: np.ndarray,
-        waves: Sequence[ScanWave],
-        advertised: Optional[int] = None,
+        self, amplitudes: np.ndarray, waves: Sequence[ScanWave]
     ) -> None:
         amplitudes = np.asarray(amplitudes)
         if amplitudes.ndim != 3 or amplitudes.shape[1] != amplitudes.shape[2]:
             raise ValueError(
                 f"amplitudes must be (N, det, det), got {amplitudes.shape}"
             )
-        self._amplitudes = amplitudes
-        self._advertised = (
-            int(advertised) if advertised is not None else amplitudes.shape[0]
-        )
-        if self._advertised <= 0 or self._advertised > amplitudes.shape[0]:
-            raise ValueError(
-                f"advertised must be in [1, {amplitudes.shape[0]}], "
-                f"got {self._advertised}"
+        self.amplitudes = amplitudes
+        self.waves = tuple(waves)
+        seen: set = set()
+        for w, wave in enumerate(self.waves):
+            if not wave.frames and not wave.end_of_scan:
+                raise StreamError(f"wave {w} delivers no frames")
+            for idx in wave.frames:
+                if not (0 <= idx < len(amplitudes)):
+                    raise StreamError(
+                        f"wave {w} frame {idx} out of range "
+                        f"[0, {len(amplitudes)})"
+                    )
+                if idx in seen:
+                    raise StreamError(
+                        f"frame {idx} scheduled twice (wave {w})"
+                    )
+                seen.add(idx)
+            if wave.delay_s < 0:
+                raise StreamError(f"wave {w} has negative delay_s")
+            if wave.after_sweep is not None and wave.after_sweep < 0:
+                raise StreamError(f"wave {w} has negative after_sweep")
+        timed = any(w.delay_s > 0 for w in self.waves)
+        if timed and any(w.after_sweep is not None for w in self.waves):
+            raise StreamError(
+                "scan schedule mixes after_sweep and delay_s gating; "
+                "a schedule is either sweep-keyed or timed, not both"
             )
-        self._waves = _validate_waves(waves, self._advertised)
-        self.mode  # validate gating consistency eagerly
+        #: ``"sweep"`` (progress-gated) or ``"timed"`` (delay-gated).
+        self.mode = "timed" if timed else "sweep"
 
-    @property
-    def n_probes(self) -> int:
-        return self._advertised
-
-    @property
-    def detector_px(self) -> int:
-        return int(self._amplitudes.shape[1])
-
-    @property
-    def frame_dtype(self) -> np.dtype:
-        return self._amplitudes.dtype
-
-    @property
-    def waves(self) -> Tuple[ScanWave, ...]:
-        return self._waves
-
-    def frame(self, index: int) -> np.ndarray:
-        return self._amplitudes[index]
-
-
-class ReplayScanSource(ScanSource):
-    """Replay an existing static acquisition incrementally.
-
-    Splits the position range of a store (or raw stack) into
-    ``n_waves`` contiguous waves keyed ``after_sweep = 0, 1, ...`` — the
-    canonical "K-wave" schedule the parity suite compares against static
-    runs restarted at the same coverage points.
-    """
-
-    def __init__(
-        self,
-        source: Union[DiffractionStore, np.ndarray],
-        n_waves: int,
-    ) -> None:
+    @classmethod
+    def replay(cls, amplitudes: np.ndarray, n_waves: int) -> "WaveSchedule":
+        """The stack in ``n_waves`` contiguous waves keyed
+        ``after_sweep = 0, 1, ...`` — the canonical "K-wave" schedule the
+        parity suite compares against static runs restarted at the same
+        coverage points."""
         if n_waves <= 0:
             raise ValueError("n_waves must be positive")
-        if isinstance(source, DiffractionStore):
-            self._store: Optional[DiffractionStore] = source
-            self._amplitudes = None
-            n = source.n_probes
-        else:
-            self._store = None
-            self._amplitudes = np.asarray(source)
-            if (
-                self._amplitudes.ndim != 3
-                or self._amplitudes.shape[1] != self._amplitudes.shape[2]
-            ):
-                raise ValueError(
-                    "amplitudes must be (N, det, det), got "
-                    f"{self._amplitudes.shape}"
-                )
-            n = self._amplitudes.shape[0]
+        n = len(amplitudes)
         n_waves = min(int(n_waves), n)
         bounds = np.linspace(0, n, n_waves + 1).astype(int)
-        self._waves = tuple(
+        return cls(amplitudes, [
             ScanWave(
                 frames=tuple(range(int(bounds[w]), int(bounds[w + 1]))),
                 after_sweep=w,
                 end_of_scan=(w == n_waves - 1),
             )
             for w in range(n_waves)
-        )
-        self._n = n
-
-    @property
-    def n_probes(self) -> int:
-        return self._n
-
-    @property
-    def detector_px(self) -> int:
-        if self._store is not None:
-            return self._store.detector_px
-        return int(self._amplitudes.shape[1])
-
-    @property
-    def frame_dtype(self) -> np.dtype:
-        if self._store is not None:
-            return self._store.dtype
-        return self._amplitudes.dtype
-
-    @property
-    def waves(self) -> Tuple[ScanWave, ...]:
-        return self._waves
-
-    def frame(self, index: int) -> np.ndarray:
-        if self._store is not None:
-            return np.asarray(self._store.read(index))
-        return self._amplitudes[index]
+        ])
 
 
 # ----------------------------------------------------------------------
 # Feeder
 # ----------------------------------------------------------------------
 class StreamFeeder:
-    """Delivers a :class:`ScanSource`'s waves into a
+    """Delivers a :class:`WaveSchedule`'s waves into a
     :class:`StreamingStore`.
 
     Sweep-keyed schedules are pumped synchronously from the solver
@@ -504,24 +376,17 @@ class StreamFeeder:
     marked implicitly; an explicit ``end_of_scan`` wave marks it early.
     """
 
-    def __init__(self, source: ScanSource, store: StreamingStore) -> None:
-        self.source = source
+    def __init__(self, schedule: WaveSchedule, store: StreamingStore) -> None:
+        self.schedule = schedule
         self.store = store
-        self.mode = source.mode  # validates gating consistency
+        self.mode = schedule.mode
         self._next_wave = 0
-        self._delivered = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
-    @property
-    def frames_delivered(self) -> int:
-        """Frames appended so far (for telemetry accounting)."""
-        return self._delivered
-
     def _deliver(self, wave: ScanWave) -> int:
         for idx in wave.frames:
-            self.store.append(idx, self.source.frame(idx))
-        self._delivered += len(wave.frames)
+            self.store.append(idx, self.schedule.amplitudes[idx])
         status = self.store.poll()
         if wave.end_of_scan or status.arrived >= status.advertised:
             self.store.mark_end_of_scan()
@@ -531,13 +396,8 @@ class StreamFeeder:
     def feed_until(self, sweeps_done: int) -> int:
         """Deliver every pending wave gated at or before ``sweeps_done``
         completed sweeps.  Returns the number of frames delivered."""
-        if self.mode != "sweep":
-            raise StreamError(
-                "feed_until applies to sweep-keyed schedules; timed "
-                "schedules run via start()/stop()"
-            )
         delivered = 0
-        waves = self.source.waves
+        waves = self.schedule.waves
         while self._next_wave < len(waves):
             wave = waves[self._next_wave]
             gate = wave.after_sweep if wave.after_sweep is not None else 0
@@ -549,34 +409,18 @@ class StreamFeeder:
 
     def exhausted(self) -> bool:
         """Whether every scheduled wave has been delivered."""
-        return self._next_wave >= len(self.source.waves)
-
-    def feed_all(self) -> int:
-        """Deliver every remaining wave immediately (pre-arrival)."""
-        delivered = 0
-        waves = self.source.waves
-        while self._next_wave < len(waves):
-            delivered += self._deliver(waves[self._next_wave])
-            self._next_wave += 1
-        return delivered
+        return self._next_wave >= len(self.schedule.waves)
 
     # -- timed (background) mode ---------------------------------------
     def start(self) -> None:
         """Run a timed schedule on a background thread."""
-        if self.mode != "timed":
-            raise StreamError(
-                "start() applies to timed schedules; sweep-keyed "
-                "schedules are pumped via feed_until()"
-            )
-        if self._thread is not None:
-            return
         self._thread = threading.Thread(
             target=self._run_timed, name="stream-feeder", daemon=True
         )
         self._thread.start()
 
     def _run_timed(self) -> None:
-        waves = self.source.waves
+        waves = self.schedule.waves
         while self._next_wave < len(waves):
             wave = waves[self._next_wave]
             if wave.delay_s > 0 and self._stop.wait(wave.delay_s):
@@ -650,13 +494,7 @@ class StreamPolicy:
         """Build from a config's ``stream_policy`` JSON mapping."""
         if payload is None:
             return cls()
-        known = {
-            "wait_timeout_s",
-            "min_start_frames",
-            "sweeps_per_epoch",
-            "reweight",
-            "on_growth",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(
@@ -671,8 +509,9 @@ class StreamPolicy:
 # ----------------------------------------------------------------------
 def build_scan_source(
     spec: Mapping[str, Any], dataset: "PtychoDataset"
-) -> ScanSource:
-    """Resolve a config's ``scan_source`` JSON mapping to a source.
+) -> WaveSchedule:
+    """Resolve a config's ``scan_source`` JSON mapping to the schedule
+    over ``dataset``'s own measurements.
 
     Two kinds::
 
@@ -690,6 +529,8 @@ def build_scan_source(
             delivery) or a ``count`` of the next unscheduled positions
             in raster order; gates are ``after_sweep`` (sweep-keyed) or
             ``delay_s`` (timed) — never both kinds in one schedule.
+            ``advertised`` (optional) must be the dataset's probe count:
+            any other is a :class:`StreamError` naming the mismatch.
     """
     if not isinstance(spec, Mapping):
         raise TypeError(
@@ -705,7 +546,7 @@ def build_scan_source(
         n_waves = spec.get("waves", 4)
         if not isinstance(n_waves, int) or isinstance(n_waves, bool):
             raise TypeError("replay scan_source 'waves' must be an int")
-        return ReplayScanSource(dataset.amplitudes, n_waves)
+        return WaveSchedule.replay(dataset.amplitudes, n_waves)
     if kind == "simulated":
         unknown = set(spec) - {"kind", "waves", "advertised"}
         if unknown:
@@ -720,6 +561,18 @@ def build_scan_source(
                 "simulated scan_source needs a 'waves' list"
             )
         advertised = spec.get("advertised", dataset.n_probes)
+        if not 0 < advertised <= dataset.n_probes:
+            raise ValueError(
+                f"advertised must be in [1, {dataset.n_probes}], "
+                f"got {advertised}"
+            )
+        if advertised != dataset.n_probes:
+            raise StreamError(
+                f"scan source advertises {advertised} x "
+                f"{dataset.spec.detector_px}px frames but the dataset "
+                f"expects {dataset.n_probes} x "
+                f"{dataset.spec.detector_px}px"
+            )
         waves: List[ScanWave] = []
         scheduled: set = set()
         cursor = 0
@@ -765,9 +618,7 @@ def build_scan_source(
                     end_of_scan=bool(wave_spec.get("end_of_scan", False)),
                 )
             )
-        return SimulatedScanSource(
-            dataset.amplitudes, waves, advertised=advertised
-        )
+        return WaveSchedule(dataset.amplitudes, waves)
     raise ValueError(
         f"unknown scan_source kind {kind!r}; choose 'replay' or 'simulated'"
     )

@@ -54,7 +54,12 @@ from repro.runtime.executor import (
 )
 from repro.runtime.process_comm import CommChannels, ProcessComm
 
-__all__ = ["ProcessExecutor", "partition_ranks", "start_child"]
+__all__ = [
+    "ProcessExecutor",
+    "SegmentInUseError",
+    "partition_ranks",
+    "start_child",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -142,8 +147,50 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
+class SegmentInUseError(RuntimeError):
+    """A shared-memory segment was closed while an array over it lived.
+
+    Every array over a segment pins it (:func:`_view`), so closing one
+    under a live array fails instead of unmapping memory the array still
+    reads.  Raised by a rank worker's teardown and by the session's
+    ``close()``, which still unlinks every segment first.
+    """
+
+
 def _view(seg: shared_memory.SharedMemory, shape, dtype) -> np.ndarray:
-    return np.ndarray(shape, dtype=dtype, buffer=seg.buf)
+    """An array over ``seg`` that holds an export of its buffer: while
+    it (or any view of it) lives, ``seg.close()`` raises
+    ``BufferError``."""
+    count = int(np.prod(shape, dtype=np.int64))
+    return np.frombuffer(seg.buf, dtype=dtype, count=count).reshape(shape)
+
+
+def _release(
+    segments: List[shared_memory.SharedMemory], unlink: bool = False
+) -> None:
+    """Close every segment (and, with ``unlink``, remove its name).
+
+    Raises :class:`SegmentInUseError` naming the segments an array
+    still pins; those stay mapped until the array goes, and are still
+    unlinked.
+    """
+    pinned: List[str] = []
+    for seg in segments:
+        try:
+            seg.close()
+        except BufferError:
+            pinned.append(seg.name)
+        if unlink:
+            try:
+                seg.unlink()
+            except FileNotFoundError:  # pragma: no cover
+                pass
+    if pinned:
+        raise SegmentInUseError(
+            f"{len(pinned)} shared-memory segment(s) closed with arrays "
+            f"still over them ({', '.join(pinned)}): every view must be "
+            "dropped before its segment is closed"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +217,7 @@ def _worker_main(
     tel = _obs.Telemetry() if plan.telemetry else _obs.NULL_TELEMETRY
     _obs.activate(tel).__enter__()
     segments: List[shared_memory.SharedMemory] = []
-    engine = None
+    engine = comm = None
     worker_store = None
     try:
         cdtype = np.dtype(cdtype_name)
@@ -259,14 +306,11 @@ def _worker_main(
             engine.close()  # release this worker's store handle
         if worker_store is not None:
             worker_store.close()  # the re-opened per-worker copy
-        engine = None
-        acc_views = {}
-        shared_arrays = {}
-        for seg in segments:
-            try:
-                seg.close()
-            except BufferError:  # pragma: no cover - lingering view
-                pass
+        # Every array over a segment pins it: drop the engine's tiles,
+        # the comm's registered buffers and this frame's views first.
+        engine = comm = None
+        acc_views = shared_arrays = {}
+        _release(segments)
 
 
 # ----------------------------------------------------------------------
@@ -489,24 +533,16 @@ class _ProcessSession(ExecutionSession):
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-        # Drop our views before releasing the mappings; a view leaked to
-        # user code merely keeps its mapping alive until collected.
+        # Drop our views before releasing the mappings; a view still
+        # held elsewhere makes _release raise SegmentInUseError.
         self._vol_views = None
+        segments, self._segments = self._segments, []
         # Holding _TRACKER_LOCK *across* close/unlink is the point of
         # that lock (serialize every resource-tracker touch with fork
         # sites, see its definition), so the usual close-outside-the-
         # lock rule is inverted here on purpose.
         with _TRACKER_LOCK:
-            for seg in self._segments:
-                try:
-                    seg.close()  # repro-lint: allow[lock-blocking]
-                except BufferError:  # pragma: no cover - leaked view
-                    pass
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-        self._segments = []
+            _release(segments, unlink=True)  # repro-lint: allow[lock-blocking]
 
     def __del__(self) -> None:  # pragma: no cover - safety net
         try:

@@ -232,3 +232,47 @@ class TestReconstructEntryPoint:
         replay = reconstruct(tiny_dataset, archive.config)
         assert replay.history == archive.history
         np.testing.assert_array_equal(replay.volume, archive.volume)
+
+
+class TestStreamingCapability:
+    """A solver without ``positions`` / ``data_source`` cannot plan an
+    epoch over the frames arrived so far: a streamed run of it is
+    refused before any frame is fed, in words that say it cannot
+    stream."""
+
+    def test_refused_before_the_feeder_starts(self, tiny_dataset, monkeypatch):
+        import repro.api.streaming as streaming
+
+        @register_solver("plain-test")
+        class Plain:
+            accepted_params = frozenset({"iterations"})
+
+            def __init__(self, iterations=1):
+                self.iterations = iterations
+
+            def reconstruct(self, dataset, *, observers=(),
+                            initial_probe=None, initial_volume=None):
+                return ReconstructionResult(
+                    volume=np.zeros((1, 2, 2), dtype=np.complex128),
+                    history=[1.0] * self.iterations,
+                    messages=0,
+                    message_bytes=0,
+                    peak_memory_per_rank=[0],
+                    decomposition=None,
+                )
+
+        def no_feeder(*args, **kwargs):
+            raise AssertionError("the feeder started")
+
+        monkeypatch.setattr(streaming, "StreamFeeder", no_feeder)
+        config = ReconstructionConfig("plain-test", {"iterations": 2})
+        try:
+            with pytest.raises(
+                SolverCapabilityError, match="'plain-test' cannot stream"
+            ):
+                reconstruct(tiny_dataset, config.with_stream(
+                    scan_source={"kind": "replay", "waves": 2}
+                ))
+            assert reconstruct(tiny_dataset, config).history == [1.0, 1.0]
+        finally:
+            unregister_solver("plain-test")

@@ -26,6 +26,7 @@ import repro
 from repro import CheckpointPolicy, reconstruct
 from repro.api import ReconstructionConfig
 from repro.cli import main
+from repro.core.reconstructor import LegFailedError
 from repro.io import load_result, save_dataset, save_result
 from repro.physics.dataset import suggest_lr
 
@@ -166,6 +167,25 @@ class TestRunGlobalError:
         assert error.iteration == straight.iteration
         assert error.last_finite_cost == straight.last_finite_cost
         assert str(error) == str(straight)
+
+
+class TestSnapshotAfterDivergence:
+    """A snapshot taken after its leg diverged is refused the same way
+    on every executor: the serial tiles hold the diverged iterate and a
+    process session's shared memory is gone, and neither may be
+    stitched into a result."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_raises_leg_failed(self, tiny_dataset, executor):
+        lr = suggest_lr(tiny_dataset, alpha=LATE_ALPHA)
+        events = []
+        error = _diverge(
+            tiny_dataset, _config("gd", lr, executor, iterations=4),
+            [events.append],
+        )
+        assert len(events) == error.iteration > 0
+        with pytest.raises(LegFailedError, match="gd leg failed"):
+            events[-1].snapshot()
 
 
 def _cli_diverge(dataset, out, lr, executor):

@@ -1,7 +1,8 @@
 """``relay_leg``: the event-side twin of ``fold_leg`` — a leg's events are
 re-emitted as the uninterrupted run's: iterations and the run total
-continue the prior ledger's, traffic adds, snapshots fold the prior in,
-and only ``elapsed_s`` stays counted from the call."""
+continue the prior ledger's, traffic adds, memory peaks take the prior's
+high-water, snapshots fold the prior in, and only ``elapsed_s`` stays
+counted from the call."""
 
 import numpy as np
 
@@ -32,7 +33,7 @@ def event(iteration, n_iterations=2, *, snapshot=lambda: NOW, **fields):
         elapsed_s=0.5,
         messages=4,
         message_bytes=320,
-        peak_memory_bytes=64.0,
+        peak_memory_per_rank=[200, 250],
     )
     values.update(fields)
     return IterationEvent(
@@ -111,11 +112,20 @@ def test_coverage_is_stamped():
 
 
 def test_unchanged_fields_pass_through():
-    (out,) = relayed(PRIOR, event(0, cost=1.25, peak_memory_bytes=7.0))
+    (out,) = relayed(PRIOR, event(0, cost=1.25))
     assert out.solver == "gd"
     assert out.cost == 1.25
-    # The call's own mean peak: a mean cannot be folded.
-    assert out.peak_memory_bytes == 7.0
+
+
+def test_folds_the_priors_per_rank_peaks():
+    # The run's high-water, as the folded snapshot holds it; the mean is
+    # derived from it.
+    (out,) = relayed(PRIOR, event(0))
+    assert out.peak_memory_per_rank == [200, 300]
+    assert out.peak_memory_per_rank == out.snapshot().peak_memory_per_rank
+    assert out.peak_memory_bytes == 250.0
+    (alone,) = relayed(None, event(0))
+    assert alone.peak_memory_per_rank == [200, 250]
 
 
 def test_snapshot_folds_the_prior():

@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.core import GradientDecompositionReconstructor
 from repro.core.engine import NumericEngine
-from repro.core.reconstructor import run_plan
+from repro.core.reconstructor import LegFailedError, run_plan
 from repro.obs import telemetry as obs
 from repro.runtime import RunOptions
 from repro.runtime.executor import (
@@ -248,6 +248,31 @@ class TestSessionIsAlwaysClosed:
         assert (error.solver, error.iteration, error.last_finite_cost) == (
             "fake-solver", 2, 9.0
         )
+
+
+class TestFailedLegSnapshot:
+    def test_snapshot_after_an_observer_raised_is_refused(
+        self, fake_executor, plan
+    ):
+        class Interrupt(Exception):
+            pass
+
+        events, during = [], []
+
+        def observer(event):
+            events.append(event)
+            during.append(event.snapshot())
+            if event.iteration == 1:
+                raise Interrupt
+
+        with pytest.raises(Interrupt):
+            run_plan("fake-solver", plan, 5, [observer])
+        # While the leg ran its snapshots were live; once it failed, no
+        # snapshot may stitch the state it left.
+        assert [snap.history for snap in during] == [[10.0], [10.0, 9.0]]
+        for event in events:
+            with pytest.raises(LegFailedError, match="fake-solver leg failed"):
+                event.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import ReconstructionConfig, reconstruct
-from repro.data import ReplayScanSource
+from repro.data import WaveSchedule
 
 from tests.helpers import assert_results_identical, result_fingerprint
 
@@ -48,7 +48,7 @@ def _config(solver, lr, executor=None):
 def _coverage_points(dataset, n_waves):
     """The coverage snapshots a ``replay``/``n_waves`` schedule visits,
     derived from the wave layout itself (not from driver internals)."""
-    source = ReplayScanSource(dataset.amplitudes, n_waves)
+    source = WaveSchedule.replay(dataset.amplitudes, n_waves)
     points, acc = [], []
     for wave in source.waves:
         acc.extend(wave.frames)

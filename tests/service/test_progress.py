@@ -16,7 +16,7 @@ def event(iteration, cost=1.0, elapsed=1.0, n_iterations=10):
         elapsed_s=elapsed,
         messages=0,
         message_bytes=0,
-        peak_memory_bytes=0.0,
+        peak_memory_per_rank=[0],
         snapshot=lambda: None,
     )
 
