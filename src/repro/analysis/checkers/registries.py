@@ -11,8 +11,9 @@ someone registers a new name.  This rule flags both:
   directly) but is imported by no other module in the tree (and is not
   a package ``__init__``);
 * an ``add_argument`` for ``--solver``/``--backend``/``--executor`` in
-  the CLI whose ``choices`` is a literal list instead of the registry's
-  ``*_names()`` function.
+  the CLI (or a flag-table row naming one of those flags) whose
+  ``choices`` is a literal list instead of the registry's ``*_names()``
+  function.
 """
 
 from __future__ import annotations
@@ -103,12 +104,8 @@ def _check_cli_choices(project: Project) -> Iterator[Finding]:
     for node in ast.walk(pf.tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr == "add_argument"
-        ):
-            continue
+        # An ``add_argument`` call, or a flag-table row that holds its
+        # ``add_argument`` keywords in a nested call.
         flags = {
             arg.value
             for arg in node.args
@@ -118,8 +115,8 @@ def _check_cli_choices(project: Project) -> Iterator[Finding]:
         hit = flags & _REGISTRY_FLAGS
         if not hit:
             continue
-        for kw in node.keywords:
-            if kw.arg != "choices":
+        for kw in ast.walk(node):
+            if not (isinstance(kw, ast.keyword) and kw.arg == "choices"):
                 continue
             if isinstance(kw.value, (ast.List, ast.Tuple, ast.Set)):
                 yield Finding(

@@ -327,8 +327,9 @@ class ReconstructionConfig:
         spells ``"numpy"`` explicitly matches one that inherits it —
         which also means an ambient config's fingerprint *floats* with
         the process default.  Writers of durable archives should pin
-        the resolved names first (``with_compute``), as the service
-        does, so the archived fingerprint records what actually ran.
+        the resolved names first (``replace(config, backend=...,
+        dtype=...)``), as the service does, so the archived fingerprint
+        records what actually ran.
 
         This is what resume validation compares: a checkpoint archived
         under one fingerprint refuses to seed a run with another (see
@@ -363,89 +364,15 @@ class ReconstructionConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- derivation ----------------------------------------------------
-    def _replace(self, **updates: Any) -> "ReconstructionConfig":
-        """New config with the given fields replaced (``None`` values in
-        ``updates`` keep the current field — the CLI-override rule)."""
-        return replace(
-            self, **{k: v for k, v in updates.items() if v is not None}
-        )
-
+    # Any other field is overridden with ``dataclasses.replace``, which
+    # re-runs ``__post_init__`` (validation and normalisation).
     def with_solver_params(self, **updates: Any) -> "ReconstructionConfig":
         """New config with ``solver_params`` keys merged/overridden."""
-        merged = dict(self.solver_params)
-        merged.update(updates)
-        return self._replace(solver_params=merged)
+        return replace(self, solver_params={**self.solver_params, **updates})
 
     def with_run_params(self, **updates: Any) -> "ReconstructionConfig":
         """New config with ``run_params`` keys merged/overridden."""
-        merged = dict(self.run_params)
-        merged.update(updates)
-        return self._replace(run_params=merged)
-
-    def with_compute(
-        self, backend: Optional[str] = None, dtype: Optional[str] = None
-    ) -> "ReconstructionConfig":
-        """New config with the compute backend and/or precision replaced
-        (``None`` keeps the current value) — how the CLI replays an
-        archived run on a different backend, and how the benchmark
-        harness sweeps the backend × precision scenario grid."""
-        return self._replace(backend=backend, dtype=dtype)
-
-    def with_runtime(
-        self,
-        executor: Optional[str] = None,
-        runtime_workers: Optional[int] = None,
-    ) -> "ReconstructionConfig":
-        """New config with the executor and/or worker bound replaced
-        (``None`` keeps the current value) — how the CLI replays an
-        archived run under a different execution runtime."""
-        return self._replace(
-            executor=executor, runtime_workers=runtime_workers
-        )
-
-    def with_data(
-        self,
-        data_source: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        prefetch: Optional[bool] = None,
-    ) -> "ReconstructionConfig":
-        """New config with the measurement source, batch size and/or
-        prefetch flag replaced (``None`` keeps the current value) — how
-        the CLI replays an archived run against a different store, and
-        how the data benchmark sweeps batch sizes."""
-        return self._replace(
-            data_source=data_source,
-            batch_size=batch_size,
-            prefetch=prefetch,
-        )
-
-    def with_probe(
-        self, probe_modes: Optional[int] = None
-    ) -> "ReconstructionConfig":
-        """New config with the probe mode count replaced (``None`` keeps
-        the current value) — how ``repro reconstruct --probe-modes``
-        overrides an archived config's mixed-state setting."""
-        return self._replace(probe_modes=probe_modes)
-
-    def with_telemetry(self, telemetry: bool = True) -> "ReconstructionConfig":
-        """New config with telemetry recording pinned on (or off) —
-        how ``repro reconstruct --trace`` turns tracing on without
-        touching any numerics-relevant field (``None`` keeps the
-        current value, like every other ``with_*`` helper)."""
-        return self._replace(telemetry=telemetry)
-
-    def with_stream(
-        self,
-        scan_source: Optional[Mapping[str, Any]] = None,
-        stream_policy: Optional[Mapping[str, Any]] = None,
-    ) -> "ReconstructionConfig":
-        """New config routed through the streaming driver (``None``
-        keeps the current value) — how ``repro reconstruct --stream``
-        attaches an arrival schedule and its policy knobs to an
-        otherwise-static config."""
-        return self._replace(
-            scan_source=scan_source, stream_policy=stream_policy
-        )
+        return replace(self, run_params={**self.run_params, **updates})
 
 
 #: The serialized keys, in schema order — the dataclass fields.

@@ -59,14 +59,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.api import solver_names
-from repro.backend import backend_names
+from repro.backend import backend_names, default_backend_name, default_dtype_name
+from repro.data import default_batch_size
 from repro.experiments import experiment_names
-from repro.runtime import executor_names
+from repro.runtime import default_executor_name, executor_names
 
 __all__ = ["main", "build_parser"]
 
@@ -93,19 +95,75 @@ _REC_DEFAULTS: Dict[str, object] = {
 def _solver_flag_values(args) -> List[tuple]:
     """``(key, flag, value, explicit)`` per solver flag; ``explicit``
     means the user moved the flag off its default."""
-    values = {
-        "n_ranks": args.ranks,
-        "iterations": args.iterations,
-        "lr": args.lr,
-        "mode": args.mode,
-        "planner": args.planner,
-        "sync_period": args.sync_period,
-        "refine_probe": args.refine_probe,
-    }
-    return [
-        (key, flag, values[key], values[key] != default)
-        for key, flag, default in _REC_FLAG_SPECS
-    ]
+    out = []
+    for key, flag, default in _REC_FLAG_SPECS:
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+        out.append((key, flag, value, value != default))
+    return out
+
+
+class _RunFlag(NamedTuple):
+    """One run-setting flag of ``reconstruct``."""
+
+    #: The ``ReconstructionConfig`` field it sets (also its argparse dest).
+    field: str
+    flag: str
+    #: What the flag path records when the flag is omitted (``None``:
+    #: record ``None``, the ambient default resolved at run time).
+    ambient: Optional[Callable[[], Any]]
+    #: Recorded for every solver, not only those that accept the field:
+    #: the archive names the compute stack that ran.
+    every_solver: bool
+    #: ``add_argument`` keywords; a callable ``choices`` is a registry's
+    #: ``*_names`` function, read when the parser is built.
+    argument: Dict[str, Any]
+
+
+#: The run-setting flags: the one place a user-facing run option maps to
+#: its CLI flag.  The flag path records each (flag, else ambient) in the
+#: config it builds; the ``--config`` path overrides the file's value
+#: with every flag that is given (``None`` keeps the file's value, so
+#: ``--no-prefetch`` still switches an archived ``prefetch=true`` off).
+_RUN_FLAGS = (
+    _RunFlag("backend", "--backend", default_backend_name, True, dict(
+        choices=backend_names,
+        help="compute backend (default: REPRO_BACKEND env or numpy); with "
+             "--config, overrides the config's backend for replay on "
+             "different hardware")),
+    _RunFlag("dtype", "--dtype", default_dtype_name, True, dict(
+        choices=["complex64", "complex128"],
+        help="compute precision (default: REPRO_DTYPE env or complex128); "
+             "complex64 halves memory")),
+    _RunFlag("executor", "--executor", default_executor_name, False, dict(
+        choices=executor_names,
+        help="rank-program placement (default: REPRO_EXECUTOR env or "
+             "serial); 'process' runs each rank block in its own worker "
+             "process; with --config, overrides the config's executor for "
+             "replay")),
+    _RunFlag("runtime_workers", "--runtime-workers", None, False, dict(
+        type=int,
+        help="worker-pool bound for --executor process (default: one per "
+             "rank, capped at CPU count)")),
+    _RunFlag("data_source", "--data-store", None, False, dict(
+        help="measurement source: 'memory' (default) or the path of an "
+             "on-disk store written by the store subcommand; with "
+             "--config, overrides the config's data_source for replay")),
+    _RunFlag("batch_size", "--batch-size", default_batch_size, False, dict(
+        type=int,
+        help="probes per batched multislice sweep (default: "
+             "REPRO_BATCH_SIZE env or 1 = per-position); bit-identical at "
+             "every setting")),
+    _RunFlag("prefetch", "--prefetch", None, False, dict(
+        action=argparse.BooleanOptionalAction,
+        help="page-cache read-ahead hint for a .npz --data-store (a no-op "
+             "for HDF5); --no-prefetch overrides a config that pinned it "
+             "on")),
+    _RunFlag("probe_modes", "--probe-modes", None, False, dict(
+        type=int,
+        help="incoherent probe modes for mixed-state reconstruction "
+             "(default 1 = scalar probe, bit-identical to the historical "
+             "path); with --config, overrides the config's probe_modes")),
+)
 
 
 def _parse_grid(text: str) -> tuple:
@@ -166,41 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--sync-period", default=_REC_DEFAULTS["sync_period"])
     rec.add_argument("--algorithm", choices=solver_names(), default="gd")
     rec.add_argument("--refine-probe", action="store_true")
-    rec.add_argument("--backend", choices=backend_names(), default=None,
-                     help="compute backend (default: REPRO_BACKEND env or "
-                          "numpy); with --config, overrides the config's "
-                          "backend for replay on different hardware")
-    rec.add_argument("--dtype", choices=["complex64", "complex128"],
-                     default=None,
-                     help="compute precision (default: REPRO_DTYPE env or "
-                          "complex128); complex64 halves memory")
-    rec.add_argument("--executor", choices=executor_names(), default=None,
-                     help="rank-program placement (default: REPRO_EXECUTOR "
-                          "env or serial); 'process' runs each rank block "
-                          "in its own worker process; with --config, "
-                          "overrides the config's executor for replay")
-    rec.add_argument("--runtime-workers", type=int, default=None,
-                     help="worker-pool bound for --executor process "
-                          "(default: one per rank, capped at CPU count)")
-    rec.add_argument("--data-store", default=None,
-                     help="measurement source: 'memory' (default) or the "
-                          "path of an on-disk store written by the store "
-                          "subcommand; with --config, overrides the "
-                          "config's data_source for replay")
-    rec.add_argument("--batch-size", type=int, default=None,
-                     help="probes per batched multislice sweep (default: "
-                          "REPRO_BATCH_SIZE env or 1 = per-position); "
-                          "bit-identical at every setting")
-    rec.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
-                     default=None,
-                     help="page-cache read-ahead hint for a .npz "
-                          "--data-store (a no-op for HDF5); --no-prefetch "
-                          "overrides a config that pinned it on")
-    rec.add_argument("--probe-modes", type=int, default=None,
-                     help="incoherent probe modes for mixed-state "
-                          "reconstruction (default 1 = scalar probe, "
-                          "bit-identical to the historical path); with "
-                          "--config, overrides the config's probe_modes")
+    for row in _RUN_FLAGS:
+        argument = dict(row.argument)
+        if callable(argument.get("choices")):
+            argument["choices"] = argument["choices"]()
+        rec.add_argument(row.flag, dest=row.field, default=None, **argument)
     rec.add_argument("--resume", default=None,
                      help="warm-start from a saved result archive and "
                           "continue its run (--iterations counts the "
@@ -373,41 +401,59 @@ def _config_from_flags(args, dataset) -> "ReconstructionConfig":
                 f"{', '.join(sorted(accepted))})"
             )
     run_params = {"resume": args.resume} if args.resume is not None else {}
-    from repro.backend import default_backend_name, default_dtype_name
-    from repro.data import default_batch_size
-    from repro.runtime import default_executor_name
-
     # Record the *resolved* configuration (flag, else ambient default)
-    # so the embedded config replays on what actually ran.  An option
-    # field is recorded only for solvers that accept it; an explicit
-    # flag on any other solver is a hard error (the first offending
-    # flag, in table order, is the one named).
+    # so the embedded config replays on what actually ran.  A run
+    # setting is recorded only for solvers that accept it (backend and
+    # dtype for every solver); an explicit flag on any other solver is a
+    # hard error (the first offending flag, in table order, is named).
     options = {}
-    for key, flag, value, ambient in (
-        ("executor", "--executor", args.executor, default_executor_name),
-        ("runtime_workers", "--runtime-workers", args.runtime_workers, None),
-        ("data_source", "--data-store", args.data_store, None),
-        ("batch_size", "--batch-size", args.batch_size, default_batch_size),
-        ("prefetch", "--prefetch", args.prefetch, None),
-        ("probe_modes", "--probe-modes", args.probe_modes, None),
-    ):
-        if key in accepted:
-            if value is None and ambient is not None:
-                value = ambient()
-            options[key] = value
+    for row in _RUN_FLAGS:
+        value = getattr(args, row.field)
+        if row.every_solver or row.field in accepted:
+            if value is None and row.ambient is not None:
+                value = row.ambient()
+            options[row.field] = value
         elif value is not None:
             raise SolverCapabilityError(
-                f"{flag} is not supported by solver {args.algorithm!r} "
+                f"{row.flag} is not supported by solver {args.algorithm!r} "
                 f"(accepted parameters: {', '.join(sorted(accepted))})"
             )
     return ReconstructionConfig(
         solver=args.algorithm,
         solver_params=params,
         run_params=run_params,
-        backend=args.backend or default_backend_name(),
-        dtype=args.dtype or default_dtype_name(),
         **options,
     )
+
+
+def _config_from_file(args) -> "ReconstructionConfig":
+    """The ``--config`` file's config, overridden by every run-setting
+    flag that is given and by ``--resume`` (replay an archived run on
+    other hardware, under another runtime, against another store)."""
+    from pathlib import Path
+
+    from repro.api import ReconstructionConfig
+
+    clashing = _explicit_solver_flags(args)
+    if clashing:
+        raise ValueError(
+            f"--config replaces the solver flags; remove "
+            f"{', '.join(clashing)} or drop --config"
+        )
+    try:
+        config_text = Path(args.config).read_text()
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read --config {args.config}: {exc}"
+        ) from exc
+    config = ReconstructionConfig.from_json(config_text)
+    if args.resume is not None:
+        config = config.with_run_params(resume=args.resume)
+    return replace(config, **{
+        row.field: getattr(args, row.field)
+        for row in _RUN_FLAGS
+        if getattr(args, row.field) is not None
+    })
 
 
 def _explicit_solver_flags(args) -> List[str]:
@@ -449,58 +495,24 @@ def _stream_spec(args):
 
 
 def _cmd_reconstruct(args) -> int:
-    from pathlib import Path
-
-    from repro.api import ReconstructionConfig, reconstruct
+    from repro.api import reconstruct
     from repro.api.registry import SolverCapabilityError, UnknownSolverError
     from repro.backend import BackendUnavailableError
     from repro.core import DivergenceError
-    from repro.data import StoreUnavailableError
+    from repro.data import StoreUnavailableError, StreamError
     from repro.io import load_dataset, save_result
 
     dataset = load_dataset(args.dataset)
     try:
         if args.config is not None:
-            clashing = _explicit_solver_flags(args)
-            if clashing:
-                print(f"reconstruct: error: --config replaces the solver "
-                      f"flags; remove {', '.join(clashing)} or drop "
-                      f"--config", file=sys.stderr)
-                return 2
-            try:
-                config_text = Path(args.config).read_text()
-            except OSError as exc:
-                print(f"reconstruct: error: cannot read --config "
-                      f"{args.config}: {exc}", file=sys.stderr)
-                return 2
-            config = ReconstructionConfig.from_json(config_text)
-            if args.resume is not None:
-                config = config.with_run_params(resume=args.resume)
-            # Like --resume, the compute / runtime / data / probe flags
-            # *override* a config (replay an archived run on different
-            # hardware, under another runtime, against another store).
-            # Only ``None`` means "keep the config's value", so
-            # --no-prefetch (False) switches an archived prefetch=true off.
-            config = (
-                config.with_compute(backend=args.backend, dtype=args.dtype)
-                .with_runtime(
-                    executor=args.executor,
-                    runtime_workers=args.runtime_workers,
-                )
-                .with_data(
-                    data_source=args.data_store,
-                    batch_size=args.batch_size,
-                    prefetch=args.prefetch,
-                )
-                .with_probe(probe_modes=args.probe_modes)
-            )
+            config = _config_from_file(args)
         else:
             config = _config_from_flags(args, dataset)
         stream_spec = _stream_spec(args)
         if stream_spec is not None:
             # Like --resume, streaming *overrides* a config: the same
             # archived run can be replayed as a live acquisition.
-            config = config.with_stream(scan_source=stream_spec)
+            config = replace(config, scan_source=stream_spec)
         resume = config.run_params.get("resume")
         if resume is not None:
             print(f"resuming from {resume}")
@@ -510,7 +522,7 @@ def _cmd_reconstruct(args) -> int:
             # One recorder for the whole command, activated before the
             # run so the solver, its engines and any worker processes
             # all record onto the timeline --trace exports.
-            config = config.with_telemetry(True)
+            config = replace(config, telemetry=True)
             tel = Telemetry()
             with activate(tel):
                 result = reconstruct(dataset, config)
@@ -518,7 +530,7 @@ def _cmd_reconstruct(args) -> int:
             tel = None
             result = reconstruct(dataset, config)
     except (UnknownSolverError, SolverCapabilityError,
-            BackendUnavailableError, StoreUnavailableError,
+            BackendUnavailableError, StoreUnavailableError, StreamError,
             DivergenceError, ValueError, TypeError) as exc:
         print(f"reconstruct: error: {exc}", file=sys.stderr)
         return 2

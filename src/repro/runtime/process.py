@@ -423,7 +423,7 @@ class _ProcessSession(ExecutionSession):
                 n_workers, self._n_ranks, start_method,
             )
         except BaseException:
-            self.close()
+            self._shutdown()
             raise
 
     # ------------------------------------------------------------------
@@ -441,14 +441,14 @@ class _ProcessSession(ExecutionSession):
                     if p.exitcode is not None and p.exitcode != 0
                 ]
                 if dead:
-                    self.close()
+                    self._shutdown()
                     raise RuntimeError(
                         f"worker process(es) died without reporting: "
                         f"{', '.join(dead)}"
                     )
                 continue
             if kind == "error":
-                self.close()
+                self._shutdown()
                 raise RuntimeError(
                     f"rank worker {w} failed:\n{payload}"
                 )
@@ -519,8 +519,28 @@ class _ProcessSession(ExecutionSession):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Stop the workers and release the shared memory; raises
+        ``RuntimeError`` naming every worker that exited non-zero (its
+        teardown failed, e.g. with :class:`SegmentInUseError`)."""
+        failed = self._shutdown()
+        if failed:
+            raise RuntimeError(
+                "rank worker(s) exited non-zero: " + ", ".join(failed)
+            )
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        # An error already in flight wins over the workers' exit codes.
+        if exc_type is None:
+            self.close()
+        else:
+            self._shutdown()
+
+    def _shutdown(self) -> List[str]:
+        """Stop and join the workers, release the shared memory, and
+        return ``"<worker> (exit status <code>)"`` for each worker that
+        exited non-zero (nothing once already shut down)."""
         if self._closed:
-            return
+            return []
         self._closed = True
         for control in getattr(self, "_controls", []):
             try:
@@ -533,6 +553,11 @@ class _ProcessSession(ExecutionSession):
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
+        failed = [
+            f"{proc.name} (exit status {proc.exitcode})"
+            for proc in self._procs
+            if proc.exitcode != 0
+        ]
         # Drop our views before releasing the mappings; a view still
         # held elsewhere makes _release raise SegmentInUseError.
         self._vol_views = None
@@ -543,6 +568,7 @@ class _ProcessSession(ExecutionSession):
         # lock rule is inverted here on purpose.
         with _TRACKER_LOCK:
             _release(segments, unlink=True)  # repro-lint: allow[lock-blocking]
+        return failed
 
     def __del__(self) -> None:  # pragma: no cover - safety net
         try:

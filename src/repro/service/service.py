@@ -57,6 +57,7 @@ import threading
 import time
 import traceback
 from collections import deque
+from dataclasses import replace
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
@@ -237,8 +238,8 @@ def _run_leg(
         if (base_config.backend, base_config.dtype) != (
             backend_name, dtype_name
         ):
-            base_config = base_config.with_compute(
-                backend=backend_name, dtype=dtype_name
+            base_config = replace(
+                base_config, backend=backend_name, dtype=dtype_name
             )
             record.config = base_config.to_dict()
             jobstore.save_record(root, record)

@@ -1,5 +1,7 @@
 """Solver registry: lookup, registration, adapters, uniform results."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -270,8 +272,8 @@ class TestStreamingCapability:
             with pytest.raises(
                 SolverCapabilityError, match="'plain-test' cannot stream"
             ):
-                reconstruct(tiny_dataset, config.with_stream(
-                    scan_source={"kind": "replay", "waves": 2}
+                reconstruct(tiny_dataset, replace(
+                    config, scan_source={"kind": "replay", "waves": 2}
                 ))
             assert reconstruct(tiny_dataset, config).history == [1.0, 1.0]
         finally:

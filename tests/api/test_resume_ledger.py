@@ -5,6 +5,8 @@ warm-started legs ends with the uninterrupted run's archive, emits the
 uninterrupted run's events, and a checkpoint written mid-chain holds
 the run so far under the run iteration's name."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import reconstruct
@@ -26,7 +28,7 @@ def config_for(kind, lr, iterations):
         return ReconstructionConfig("hve", params)
     config = ReconstructionConfig("gd", {**params, "mode": "synchronous"})
     if kind == "streamed":
-        config = config.with_stream(scan_source=STREAM)
+        config = replace(config, scan_source=STREAM)
     return config
 
 

@@ -5,6 +5,8 @@ and ignores the neutral ones (iterations, executor, store, batching), so
 legitimate replays pass and silent warm-start-from-the-wrong-run fails
 loudly with :class:`ResumeMismatchError`."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,15 +50,15 @@ class TestFingerprint:
             "complex64" if default_dtype_name() == "complex128"
             else "complex128"
         )
-        assert gd(tiny_lr).with_compute(dtype=other).fingerprint() != base
+        assert replace(gd(tiny_lr), dtype=other).fingerprint() != base
 
     def test_neutral_fields_do_not_change_fingerprint(self, tiny_lr):
         base = gd(tiny_lr).fingerprint()
         assert gd(tiny_lr, iterations=99).fingerprint() == base
-        assert gd(tiny_lr).with_runtime(
-            executor="process", runtime_workers=2
+        assert replace(
+            gd(tiny_lr), executor="process", runtime_workers=2
         ).fingerprint() == base
-        assert gd(tiny_lr).with_data(batch_size=4).fingerprint() == base
+        assert replace(gd(tiny_lr), batch_size=4).fingerprint() == base
 
     def test_ambient_none_matches_explicit_default(self, tiny_lr):
         # backend=None resolves to the ambient default at fingerprint
@@ -65,8 +67,10 @@ class TestFingerprint:
         # whatever this environment resolves (REPRO_BACKEND/REPRO_DTYPE,
         # else numpy/complex128) — not a hard-wired pair.
         ambient = gd(tiny_lr)
-        explicit = ambient.with_compute(
-            backend=resolve_backend(None).name, dtype=default_dtype_name()
+        explicit = replace(
+            ambient,
+            backend=resolve_backend(None).name,
+            dtype=default_dtype_name(),
         )
         assert ambient.fingerprint() == explicit.fingerprint()
 
@@ -131,7 +135,7 @@ class TestResumeCheck:
     ):
         # Resuming on a different executor/batching is a legitimate
         # replay (bit-identical machinery) and must not trip the check.
-        config = gd(tiny_lr).with_data(batch_size=3).with_run_params(
+        config = replace(gd(tiny_lr), batch_size=3).with_run_params(
             resume=str(archive_path)
         )
         resumed = reconstruct(tiny_dataset, config)

@@ -1,6 +1,7 @@
 """Config/CLI round-trip of the compute fields (backend/dtype)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,12 +62,12 @@ class TestConfigFields:
 
     def test_with_compute(self):
         cfg = ReconstructionConfig("gd", solver_params={"n_ranks": 4})
-        new = cfg.with_compute(backend="threaded")
+        new = replace(cfg, backend="threaded")
         assert new.backend == "threaded"
         assert new.dtype is None  # untouched
         assert new.solver_params["n_ranks"] == 4
         assert cfg.backend is None  # original untouched
-        assert new.with_compute(dtype="complex64").dtype == "complex64"
+        assert replace(new, dtype="complex64").dtype == "complex64"
 
     def test_derivations_preserve_compute_fields(self):
         cfg = ReconstructionConfig(

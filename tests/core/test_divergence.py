@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +103,9 @@ class TestSolversRaise:
         assert math.isfinite(error.last_finite_cost)
 
     def test_streamed_run_raises(self, tiny_dataset, divergent_lr):
-        config = _config("gd", divergent_lr).with_stream(
-            scan_source={"kind": "replay", "waves": 2}
+        config = replace(
+            _config("gd", divergent_lr),
+            scan_source={"kind": "replay", "waves": 2},
         )
         events = []
         error = _diverge(tiny_dataset, config, [events.append])

@@ -14,6 +14,7 @@ digests.  The per-position reference also stays available in-process:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ _GOLDEN = cases.golden_configs()
 PARITY_CASES = {
     "gd_alg1": (_GOLDEN["gd_alg1"], "gd_alg1"),
     "gd_synchronous": (
-        _GOLDEN["gd_synchronous_batched"].with_data(batch_size=1),
+        replace(_GOLDEN["gd_synchronous_batched"], batch_size=1),
         "gd_synchronous_batched",
     ),
     "hve": (_GOLDEN["hve"], "hve"),
@@ -124,10 +125,12 @@ class TestHostingWidthParity:
         self, golden_dataset, golden_digests, case, backend, dtype
     ):
         config, golden = PARITY_CASES[case]
-        config = config.with_compute(backend, dtype)
+        config = replace(config, backend=backend, dtype=dtype)
         prints = {
             hosting: result_fingerprint(
-                repro.reconstruct(golden_dataset, config.with_runtime(*hosting))
+                repro.reconstruct(golden_dataset, replace(
+                    config, executor=hosting[0], runtime_workers=hosting[1]
+                ))
             )
             for hosting in HOSTING
         }

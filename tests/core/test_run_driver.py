@@ -296,7 +296,9 @@ def golden_dataset():
 def test_driver_reproduces_goldens(
     golden_dataset, golden_digests, case, executor
 ):
-    config = cases.golden_configs()[case].with_runtime(executor, 2)
+    config = dataclasses.replace(
+        cases.golden_configs()[case], executor=executor, runtime_workers=2
+    )
     result = repro.reconstruct(golden_dataset, config)
     assert result_fingerprint(result) == golden_digests[case]
 

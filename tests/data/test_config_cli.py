@@ -1,19 +1,28 @@
 """Config + CLI threading of the data fields (data_source /
 batch_size / prefetch): JSON round trips, registry injection, the
-``store`` subcommand, and end-to-end replay parity."""
+``store`` subcommand, and end-to-end replay parity; plus the CLI's
+run-setting flag table, row by row."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.api import ReconstructionConfig, reconstruct
 from repro.api.registry import SolverCapabilityError, solver_from_config
-from repro.cli import main
+from repro.cli import (
+    _RUN_FLAGS,
+    _config_from_file,
+    _config_from_flags,
+    build_parser,
+    main,
+)
 from repro.data import ENV_BATCH_SIZE, ChunkedNpzStore
-from repro.io import load_result
+from repro.io import load_dataset, load_result
+from repro.runtime import RunOptions
 
 
 class TestConfigFields:
@@ -53,8 +62,8 @@ class TestConfigFields:
 
     def test_with_data_derivation(self):
         base = ReconstructionConfig("gd", batch_size=4)
-        derived = base.with_data(data_source="m.npz", prefetch=True)
-        assert derived.batch_size == 4  # None keeps current
+        derived = replace(base, data_source="m.npz", prefetch=True)
+        assert derived.batch_size == 4  # an omitted field keeps its value
         assert derived.data_source == "m.npz"
         assert derived.prefetch is True
         assert base.data_source is None  # frozen original untouched
@@ -258,3 +267,55 @@ class TestReconstructFlags:
 
         replay = reconstruct(load_dataset(dataset_path), archive.config)
         np.testing.assert_array_equal(replay.volume, archive.volume)
+
+
+#: Per run-setting field: (the value its flag sets, a different value
+#: for the ``--config`` file to hold).
+_ROW_VALUES = {
+    "backend": ("threaded", "numpy"),
+    "dtype": ("complex64", "complex128"),
+    "executor": ("process", "serial"),
+    "runtime_workers": (2, 3),
+    "data_source": ("b.npz", "a.npz"),
+    "batch_size": (2, 3),
+    "prefetch": (False, True),
+    "probe_modes": (3, 2),
+}
+
+
+class TestRunFlagTable:
+    def test_every_user_facing_run_option_has_a_row(self):
+        config_fields = {f.name for f in fields(ReconstructionConfig)}
+        assert {row.field for row in _RUN_FLAGS} == (
+            config_fields & RunOptions.names()
+        )
+
+    @pytest.mark.parametrize("row", _RUN_FLAGS, ids=lambda row: row.field)
+    def test_flag_path_and_config_override(
+        self, row, dataset_path, tmp_path
+    ):
+        flagged, archived = _ROW_VALUES[row.field]
+        if isinstance(flagged, bool):
+            flag = [row.flag if flagged else "--no-" + row.flag[2:]]
+        else:
+            flag = [row.flag, str(flagged)]
+        parse = build_parser().parse_args
+        base = ["reconstruct", "--dataset", str(dataset_path),
+                "--out", str(tmp_path / "x.npz")]
+
+        # The flag path records the flag's value.
+        config = _config_from_flags(
+            parse(base + flag), load_dataset(dataset_path)
+        )
+        assert getattr(config, row.field) == flagged
+
+        # With --config the flag overrides the file's value; omitted, it
+        # keeps it.
+        path = tmp_path / "run.json"
+        path.write_text(
+            ReconstructionConfig("gd", **{row.field: archived}).to_json()
+        )
+        base += ["--config", str(path)]
+        overridden = _config_from_file(parse(base + flag))
+        assert getattr(overridden, row.field) == flagged
+        assert getattr(_config_from_file(parse(base)), row.field) == archived

@@ -6,6 +6,7 @@ leak the feeder thread.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,10 +181,10 @@ class TestTimedCompletion:
     def test_traced_stream_records_epoch_counters(
         self, tiny_dataset, tiny_lr
     ):
-        config = _gd(
-            tiny_lr,
-            scan_source={"kind": "replay", "waves": 3},
-        ).with_telemetry(True)
+        config = replace(
+            _gd(tiny_lr, scan_source={"kind": "replay", "waves": 3}),
+            telemetry=True,
+        )
         result = reconstruct(tiny_dataset, config)
         counters = result.telemetry["counters"]
         assert counters["stream.epochs"] == 3

@@ -19,6 +19,8 @@ file under ``REPRO_EXECUTOR=process``, which retargets the ambient
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ class TestFullPreArrival:
         static = reconstruct(tiny_dataset, config)
         streamed = reconstruct(
             tiny_dataset,
-            config.with_stream(scan_source={"kind": "replay", "waves": 1}),
+            replace(config, scan_source={"kind": "replay", "waves": 1}),
         )
         assert_results_identical(static, streamed)
         assert result_fingerprint(static) == result_fingerprint(streamed)
@@ -107,7 +109,7 @@ class TestFullPreArrival:
         static = reconstruct(tiny_dataset, config)
         streamed = reconstruct(
             tiny_dataset,
-            config.with_stream(scan_source={
+            replace(config, scan_source={
                 "kind": "simulated",
                 "waves": [{"frames": scrambled, "after_sweep": 0,
                            "end_of_scan": True}],
@@ -124,7 +126,7 @@ class TestFullPreArrival:
         static = reconstruct(tiny_dataset, config)
         streamed = reconstruct(
             tiny_dataset,
-            config.with_stream(scan_source={"kind": "replay", "waves": 1}),
+            replace(config, scan_source={"kind": "replay", "waves": 1}),
         )
         assert_results_identical(static, streamed)
 
@@ -137,7 +139,7 @@ class TestWaveParity:
         config = _config(solver, tiny_lr)
         streamed = reconstruct(
             tiny_dataset,
-            config.with_stream(scan_source={"kind": "replay", "waves": 3}),
+            replace(config, scan_source={"kind": "replay", "waves": 3}),
         )
         points = _coverage_points(tiny_dataset, 3)
         volume, history, messages = _static_replay(
@@ -155,7 +157,7 @@ class TestWaveParity:
         config = _config(solver, tiny_lr, executor="process")
         streamed = reconstruct(
             tiny_dataset,
-            config.with_stream(scan_source={"kind": "replay", "waves": 3}),
+            replace(config, scan_source={"kind": "replay", "waves": 3}),
         )
         points = _coverage_points(tiny_dataset, 3)
         volume, history, _ = _static_replay(
@@ -173,7 +175,8 @@ class TestStreamPolicyKnobs:
         config = _config("gd", tiny_lr)
         streamed = reconstruct(
             tiny_dataset,
-            config.with_stream(
+            replace(
+                config,
                 scan_source={"kind": "replay", "waves": 2},
                 stream_policy={"on_growth": "restart"},
             ),
@@ -192,11 +195,11 @@ class TestStreamPolicyKnobs:
         # the unweighted stream.
         config = _config("gd", tiny_lr)
         spec = {"kind": "replay", "waves": 2}
-        plain = reconstruct(tiny_dataset, config.with_stream(scan_source=spec))
+        plain = reconstruct(tiny_dataset, replace(config, scan_source=spec))
         weighted = reconstruct(
             tiny_dataset,
-            config.with_stream(
-                scan_source=spec, stream_policy={"reweight": True}
+            replace(
+                config, scan_source=spec, stream_policy={"reweight": True}
             ),
         )
         # The sweep cost of an iteration is evaluated before its update,
@@ -220,7 +223,8 @@ class TestStreamPolicyKnobs:
         config = _config("gd", tiny_lr)
         streamed = reconstruct(
             tiny_dataset,
-            config.with_stream(
+            replace(
+                config,
                 scan_source={"kind": "replay", "waves": 3},
                 stream_policy={"sweeps_per_epoch": ITERS},
             ),
@@ -238,14 +242,16 @@ class TestStreamPolicyKnobs:
 class TestConfigSurface:
     def test_scan_source_is_fingerprint_neutral(self, tiny_lr):
         config = _config("gd", tiny_lr)
-        streamed = config.with_stream(
+        streamed = replace(
+            config,
             scan_source={"kind": "replay", "waves": 4},
             stream_policy={"sweeps_per_epoch": 2},
         )
         assert config.fingerprint() == streamed.fingerprint()
 
     def test_scan_source_round_trips_json(self, tiny_lr):
-        config = _config("gd", tiny_lr).with_stream(
+        config = replace(
+            _config("gd", tiny_lr),
             scan_source={"kind": "replay", "waves": 4},
             stream_policy={"wait_timeout_s": 5.0},
         )
@@ -265,10 +271,8 @@ class TestConfigSurface:
     def test_stream_offset_is_not_a_run_param(self, tiny_dataset, tiny_lr):
         """A resumed stream fast-forwards by its resume archive's
         history; there is no offset to pass."""
-        config = (
-            _config("gd", tiny_lr)
-            .with_stream(scan_source={"kind": "replay"})
-            .with_run_params(stream_offset=2)
-        )
+        config = replace(
+            _config("gd", tiny_lr), scan_source={"kind": "replay"}
+        ).with_run_params(stream_offset=2)
         with pytest.raises(ValueError, match="unknown run_params"):
             reconstruct(tiny_dataset, config)

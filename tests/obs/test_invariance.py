@@ -8,6 +8,8 @@ checkpoint resume keys keep matching.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,9 +80,9 @@ class TestConfigNeutrality:
         assert _config().telemetry is None
 
     def test_with_telemetry_helper(self):
-        config = _config().with_telemetry()
+        config = replace(_config(), telemetry=True)
         assert config.telemetry is True
-        assert config.with_telemetry(False).telemetry is False
+        assert replace(config, telemetry=False).telemetry is False
 
     def test_non_bool_rejected(self):
         with pytest.raises(ValueError, match="telemetry"):

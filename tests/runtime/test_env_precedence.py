@@ -8,6 +8,7 @@ recorded-name check) plus a CLI round-trip.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,14 +153,14 @@ class TestConfigRoundTrip:
 
     def test_with_runtime_derivation(self):
         cfg = ReconstructionConfig("gd", backend="numpy")
-        new = cfg.with_runtime(executor="process", runtime_workers=2)
+        new = replace(cfg, executor="process", runtime_workers=2)
         assert new.executor == "process"
         assert new.runtime_workers == 2
         assert new.backend == "numpy"  # untouched
         assert cfg.executor is None  # original untouched
         assert new.with_solver_params(lr=0.1).executor == "process"
         assert new.with_run_params(resume="a.npz").runtime_workers == 2
-        assert new.with_compute(dtype="complex64").executor == "process"
+        assert replace(new, dtype="complex64").executor == "process"
 
     def test_pinning_executor_on_serial_solver_rejected(self):
         from repro.api import SolverCapabilityError, solver_from_config

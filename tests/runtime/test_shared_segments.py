@@ -80,6 +80,15 @@ def test_worker_teardown_refuses_an_engine_kept_alive(
     )
     session.step()
     workers = list(session._procs)
-    session.close()
+    with pytest.raises(RuntimeError, match="exit status 1"):
+        session.close()
     assert [w.exitcode for w in workers] == [1, 1]
     assert "SegmentInUseError" in capfd.readouterr().err
+
+
+def test_a_clean_run_closes_without_error(tiny_dataset):
+    session = ProcessExecutor(workers=2).launch(_plan(tiny_dataset))
+    session.step()
+    workers = list(session._procs)
+    session.close()
+    assert [w.exitcode for w in workers] == [0, 0]

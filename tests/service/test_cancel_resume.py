@@ -75,9 +75,9 @@ class TestBitExactResume:
         # The checkpoint archive carries the full (M, w, w) mode stack,
         # so a cancelled mixed-state job resumes bit for bit — the mode
         # axis survives the service round trip.
-        config = gd_config(
-            tiny_lr, iterations=8, refine_probe=True
-        ).with_probe(probe_modes=2)
+        config = replace(
+            gd_config(tiny_lr, iterations=8, refine_probe=True), probe_modes=2
+        )
         service = service_factory(workers=1)
         handle = submit_cancel_resume(service, tiny_dataset, config, 4)
         direct = reconstruct(tiny_dataset, config)

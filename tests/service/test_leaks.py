@@ -5,6 +5,7 @@ reintroduce."""
 
 import multiprocessing
 import os
+from dataclasses import replace
 from pathlib import Path
 
 from repro import reconstruct
@@ -90,8 +91,9 @@ class TestBackendLeases:
     ):
         fds_before = fd_count()
         service = service_factory(workers=1)
-        config = gd_config(tiny_lr, iterations=3).with_data(
-            data_source="/nonexistent/meas.npz"
+        config = replace(
+            gd_config(tiny_lr, iterations=3),
+            data_source="/nonexistent/meas.npz",
         )
         handle = service.submit(tiny_dataset, config)
         assert handle.wait(timeout=WAIT) == JobState.FAILED
@@ -105,8 +107,10 @@ class TestBackendLeases:
         # Each leg process builds its own threaded backend (and plan
         # cache); overlapping jobs still each equal a direct run.
         configs = [
-            gd_config(tiny_lr, iterations=4).with_compute(
-                backend="threaded", dtype="complex128"
+            replace(
+                gd_config(tiny_lr, iterations=4),
+                backend="threaded",
+                dtype="complex128",
             )
             for _ in range(3)
         ]
@@ -128,8 +132,10 @@ class TestStoreHandles:
         store_path = write_store(
             tmp_path / "meas.npz", tiny_dataset, chunk_size=4
         )
-        config = gd_config(tiny_lr, iterations=3).with_data(
-            data_source=str(store_path), batch_size=2
+        config = replace(
+            gd_config(tiny_lr, iterations=3),
+            data_source=str(store_path),
+            batch_size=2,
         )
         service = service_factory(workers=2)
         handles = [service.submit(tiny_dataset, config) for _ in range(3)]
@@ -145,10 +151,12 @@ class TestStoreHandles:
         store_path = write_store(
             tmp_path / "meas.npz", tiny_dataset, chunk_size=4
         )
-        config = (
-            gd_config(tiny_lr, iterations=2)
-            .with_runtime(executor="process", runtime_workers=2)
-            .with_data(data_source=str(store_path), batch_size=2)
+        config = replace(
+            gd_config(tiny_lr, iterations=2),
+            executor="process",
+            runtime_workers=2,
+            data_source=str(store_path),
+            batch_size=2,
         )
         result = reconstruct(tiny_dataset, config)
         assert len(result.history) == 2

@@ -12,6 +12,7 @@ import sys
 import textwrap
 import threading
 import time
+from dataclasses import replace
 from multiprocessing import popen_fork
 from pathlib import Path
 
@@ -240,8 +241,10 @@ class TestServiceDeath:
         dataset = save_dataset(tmp_path / "ds.npz", tiny_dataset)
         # Compute pinned here, so the service process and the direct
         # run below agree whatever this process's ambient default is.
-        config = gd_config(tiny_lr, iterations=ITERATIONS).with_compute(
-            backend=default_backend_name(), dtype=default_dtype_name()
+        config = replace(
+            gd_config(tiny_lr, iterations=ITERATIONS),
+            backend=default_backend_name(),
+            dtype=default_dtype_name(),
         )
         config_path = tmp_path / "config.json"
         config_path.write_text(config.to_json())

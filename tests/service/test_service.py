@@ -3,6 +3,8 @@ fingerprint-identical to serial ``repro.reconstruct()`` runs, state
 transitions are durable, and a restarted service picks up where its
 predecessor stopped."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import DivergenceError, reconstruct
@@ -50,8 +52,10 @@ class TestSubmitRun:
             gd_config(tiny_lr, mode="synchronous"),
             gd_config(tiny_lr, mode="alg1"),
             hve_config(tiny_lr),
-            gd_config(tiny_lr, mode="synchronous").with_data(
-                data_source=str(store_path), batch_size=3
+            replace(
+                gd_config(tiny_lr, mode="synchronous"),
+                data_source=str(store_path),
+                batch_size=3,
             ),
         ]
         service = service_factory(workers=2)
@@ -74,7 +78,7 @@ class TestSubmitRun:
         # process-executor jobs over two threads exercise exactly that
         # overlap.
         configs = [
-            gd_config(tiny_lr, iterations=3).with_runtime(executor="process")
+            replace(gd_config(tiny_lr, iterations=3), executor="process")
             for _ in range(3)
         ]
         service = service_factory(workers=2)
@@ -274,8 +278,8 @@ class TestWorkerResilience:
         # bad one must settle FAILED — not escape _run_job and kill the
         # worker thread with the record stuck RUNNING.
         service = service_factory(workers=1)
-        bad_config = gd_config(tiny_lr, iterations=2).with_compute(
-            backend="no-such-backend"
+        bad_config = replace(
+            gd_config(tiny_lr, iterations=2), backend="no-such-backend"
         )
         bad = service.submit(tiny_dataset, bad_config)
         assert bad.wait(timeout=WAIT) == JobState.FAILED

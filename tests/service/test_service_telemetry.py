@@ -5,6 +5,7 @@ mirror reports the pinned compute and the live phase."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from repro.service import JobState
 from repro.service import jobs as jobstore
@@ -29,7 +30,7 @@ class TestJobTelemetryFile:
     ):
         service = service_factory(workers=1)
         handle = service.submit(
-            tiny_dataset, gd_config(tiny_lr).with_telemetry()
+            tiny_dataset, replace(gd_config(tiny_lr), telemetry=True)
         )
         assert handle.wait(timeout=WAIT) == JobState.DONE
         payload = _telemetry_payload(service, handle)
@@ -55,9 +56,11 @@ class TestJobTelemetryFile:
     def test_failed_job_still_settles_with_telemetry(
         self, tiny_dataset, tiny_lr, service_factory
     ):
-        config = gd_config(tiny_lr).with_data(
-            data_source="/nonexistent/meas.npz"
-        ).with_telemetry()
+        config = replace(
+            gd_config(tiny_lr),
+            data_source="/nonexistent/meas.npz",
+            telemetry=True,
+        )
         service = service_factory(workers=1)
         handle = service.submit(tiny_dataset, config)
         assert handle.wait(timeout=WAIT) == JobState.FAILED
@@ -71,7 +74,7 @@ class TestJobTelemetryFile:
 
         service = service_factory(workers=1)
         handle = service.submit(
-            tiny_dataset, gd_config(tiny_lr).with_telemetry()
+            tiny_dataset, replace(gd_config(tiny_lr), telemetry=True)
         )
         assert handle.wait(timeout=WAIT) == JobState.DONE
         # Both read-out paths resolve: the job dir and the result archive.
@@ -90,9 +93,12 @@ class TestProgressMirror:
         # test_service.py's test_ambient_compute_is_pinned_at_run_time).
         handle = service.submit(
             tiny_dataset,
-            gd_config(tiny_lr)
-            .with_compute(backend="numpy", dtype="complex128")
-            .with_telemetry(),
+            replace(
+                gd_config(tiny_lr),
+                backend="numpy",
+                dtype="complex128",
+                telemetry=True,
+            ),
         )
         assert handle.wait(timeout=WAIT) == JobState.DONE
         update = read_progress(
@@ -110,7 +116,7 @@ class TestProgressMirror:
     ):
         service = service_factory(workers=1)
         handle = service.submit(
-            tiny_dataset, gd_config(tiny_lr).with_compute(backend="numpy")
+            tiny_dataset, replace(gd_config(tiny_lr), backend="numpy")
         )
         assert handle.wait(timeout=WAIT) == JobState.DONE
         update = read_progress(

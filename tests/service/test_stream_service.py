@@ -4,6 +4,8 @@ journal, and the same no-leak guarantees as static jobs."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro import reconstruct
@@ -19,8 +21,8 @@ STREAM = {"kind": "replay", "waves": 3}
 
 
 def streamed_config(lr, iterations=6, **extra):
-    return gd_config(lr, iterations=iterations, **extra).with_stream(
-        scan_source=STREAM
+    return replace(
+        gd_config(lr, iterations=iterations, **extra), scan_source=STREAM
     )
 
 

@@ -117,6 +117,21 @@ class TestReconstruct:
         assert "hve" in err
         assert not (tmp_path / "x.npz").exists()
 
+    def test_bad_stream_schedule_errors_clearly(
+        self, dataset_path, tmp_path, capsys
+    ):
+        schedule = (
+            '{"kind": "simulated", "waves": [{"count": 8, "after_sweep": 0,'
+            ' "end_of_scan": true}], "advertised": 8}'
+        )
+        code = main(["reconstruct", "--dataset", str(dataset_path),
+                     "--iterations", "1", "--stream-schedule", schedule,
+                     "--out", str(tmp_path / "x.npz")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("reconstruct: error: scan source advertises")
+        assert not (tmp_path / "x.npz").exists()
+
     def test_serial_explicit_ranks_errors_clearly(
         self, dataset_path, tmp_path, capsys
     ):
